@@ -18,10 +18,8 @@
 //!   paper's "non-overlapped bounding boxes" variable reduction).
 //!   Retained as the equivalence oracle for tests and benchmarks.
 //! * **Grid** — buckets every candidate segment into a uniform
-//!   [`SegmentGrid`] and tests only pairs that co-occupy a cell. Below a
-//!   deterministic work threshold the per-cell tests run inline instead
-//!   of on the executor, because the fan-out/merge overhead exceeds the
-//!   work at small sizes.
+//!   [`SegmentGrid`] and tests only pairs that co-occupy a cell, inline
+//!   on the calling thread.
 //! * **Sweep** — the Bentley–Ottmann sweep line
 //!   ([`operon_geom::sweep_crossings`]), output-sensitive
 //!   `O((n + k) log n)`. Wins when segment lengths are widely dispersed:
@@ -40,13 +38,11 @@
 //! The index stores sorted flat vectors only — no tree maps on any hot
 //! path. `keys`/`records` are parallel arrays in sorted [`PairKey`]
 //! order; `pair()` is a binary search. Neighbor lists live in one CSR
-//! arena (`adj_keys`/`adj_off`/`adj`), and the net-level coupling graph
-//! incremental LR pricing walks every iteration is a second CSR
-//! (`net_neighbors`), precomputed once per build. Record handles are
-//! stable `u32` indexes; [`CrossingIndex::rebuild_delta`] re-derives the
-//! arena from retained rows plus a localized re-sweep of the dirty
-//! neighborhood, so handles stay valid across ECOs exactly when the rows
-//! they name are unchanged.
+//! arena (`adj_keys`/`adj_off`/`adj`). Record handles are stable `u32`
+//! indexes; [`CrossingIndex::rebuild_delta`] re-derives the arena from
+//! retained rows plus a localized re-sweep of the dirty neighborhood, so
+//! handles stay valid across ECOs exactly when the rows they name are
+//! unchanged.
 
 use crate::codesign::NetCandidates;
 use operon_exec::Executor;
@@ -142,27 +138,16 @@ impl ChosenBuild {
 }
 
 /// Provenance of the last build: which strategy ran and whether the pair
-/// tests used the executor's workers or the sequential small-input path.
+/// tests used the executor's workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildInfo {
     /// The strategy that actually ran (never `Auto`).
     pub strategy: ChosenBuild,
-    /// Whether pair tests were spread over the executor's workers.
-    /// `false` for the sweep (sequential by design), for delta patches,
-    /// and for grid builds under the parallel work threshold.
+    /// Whether pair tests were spread over the executor's workers: only
+    /// the brute-force oracle does; the grid, the sweep, delta patches
+    /// and sharded builds discover inline.
     pub parallel: bool,
 }
-
-/// Estimated grid pair tests below which the build runs inline.
-///
-/// `grid_by_threads` in `BENCH_crossing.json` showed threads 2 and 8
-/// consistently *slower* than 1 up to and including the dense_core
-/// fixture (~1M cell pair tests): the executor's fan-out/merge overhead
-/// dominates until roughly this much work. The estimate — Σ per cell of
-/// `|cell|·(|cell|−1)/2` — is a pure function of the candidate set and
-/// grid dims, so the chosen path is deterministic; either path yields
-/// the identical index because of the global sort + dedup.
-const GRID_PARALLEL_MIN_PAIR_TESTS: u64 = 4_000_000;
 
 /// One flattened candidate segment: the unit all builders work on.
 struct SegRef {
@@ -175,9 +160,9 @@ struct SegRef {
 /// All pairwise crossing counts over a candidate set.
 ///
 /// Flat sorted arenas throughout (see the module docs): parallel
-/// `keys`/`records` arrays, one CSR neighbor arena, and a CSR net-level
-/// coupling graph. Iteration order is the sorted key order, so runs are
-/// bit-reproducible without any tree map.
+/// `keys`/`records` arrays and one CSR neighbor arena. Iteration order
+/// is the sorted key order, so runs are bit-reproducible without any
+/// tree map.
 #[derive(Clone, Debug, Default)]
 pub struct CrossingIndex {
     /// Sorted pair keys; `records[i]` belongs to `keys[i]`.
@@ -191,18 +176,13 @@ pub struct CrossingIndex {
     /// Neighbor arena: owner `adj_keys[i]`'s list is
     /// `adj[adj_off[i]..adj_off[i + 1]]`.
     adj: Vec<Neighbor>,
-    /// CSR offsets into `net_adj`, one row per net id up to the highest
-    /// net with a crossing.
-    net_adj_off: Vec<u32>,
-    /// Sorted, deduplicated coupled-net ids per row.
-    net_adj: Vec<u32>,
     /// Provenance of the last build (excluded from equality).
     info: BuildInfo,
 }
 
 impl PartialEq for CrossingIndex {
     fn eq(&self, other: &Self) -> bool {
-        // The CSR arenas are pure functions of `keys`, and `info` is
+        // The CSR arena is a pure function of `keys`, and `info` is
         // provenance, not content: two indexes are equal iff their pair
         // maps are.
         self.keys == other.keys && self.records == other.records
@@ -217,9 +197,8 @@ impl CrossingIndex {
     }
 
     /// [`build`](Self::build) with strategy [`BuildStrategy::Auto`]: the
-    /// dispersion heuristic picks grid or sweep, and grid pair tests are
-    /// spread over `exec`'s workers when the estimated work clears the
-    /// parallel threshold. Identical output for every choice.
+    /// dispersion heuristic picks grid or sweep. Identical output for
+    /// either choice.
     pub fn build_with(nets: &[NetCandidates], exec: &Executor) -> Self {
         Self::build_with_strategy(nets, exec, BuildStrategy::Auto)
     }
@@ -233,7 +212,7 @@ impl CrossingIndex {
     ) -> Self {
         match strategy {
             BuildStrategy::BruteForce => Self::build_reference_with(nets, exec),
-            BuildStrategy::Grid => Self::build_grid(nets, exec, None),
+            BuildStrategy::Grid => Self::build_grid(nets, None),
             BuildStrategy::Sweep => {
                 let segs = collect_segments(nets);
                 Self::build_sweep(nets, &segs)
@@ -243,7 +222,7 @@ impl CrossingIndex {
                 if pick_sweep(&segs) {
                     Self::build_sweep(nets, &segs)
                 } else {
-                    Self::build_grid_from_segs(nets, exec, None, segs)
+                    Self::build_grid_from_segs(nets, None, segs)
                 }
             }
         }
@@ -257,30 +236,20 @@ impl CrossingIndex {
 
     /// Grid build (auto-sized cells unless `dims` is given; the explicit
     /// dims are the escape hatch the equivalence proptests use).
-    fn build_grid(nets: &[NetCandidates], exec: &Executor, dims: Option<(usize, usize)>) -> Self {
+    fn build_grid(nets: &[NetCandidates], dims: Option<(usize, usize)>) -> Self {
         let segs = collect_segments(nets);
-        Self::build_grid_from_segs(nets, exec, dims, segs)
-    }
-
-    #[cfg(test)]
-    fn build_with_grid_dims(
-        nets: &[NetCandidates],
-        exec: &Executor,
-        dims: Option<(usize, usize)>,
-    ) -> Self {
-        Self::build_grid(nets, exec, dims)
+        Self::build_grid_from_segs(nets, dims, segs)
     }
 
     fn build_grid_from_segs(
         nets: &[NetCandidates],
-        exec: &Executor,
         dims: Option<(usize, usize)>,
         segs: Vec<SegRef>,
     ) -> Self {
         if segs.len() < 2 {
             return Self::default();
         }
-        let (mut hits, parallel) = grid_hits(&segs, dims, exec);
+        let mut hits = grid_hits(&segs, dims);
         hits.sort_unstable();
         hits.dedup();
         Self::from_hits(
@@ -288,7 +257,7 @@ impl CrossingIndex {
             &hits,
             BuildInfo {
                 strategy: ChosenBuild::Grid,
-                parallel,
+                parallel: false,
             },
         )
     }
@@ -446,8 +415,8 @@ impl CrossingIndex {
         Self::from_pair_list(assemble_runs(nets, hits), info)
     }
 
-    /// Assembles the dense record vector, the CSR neighbor arena, and
-    /// the net-level coupling CSR from a `(key, record)` list. The list
+    /// Assembles the dense record vector and the CSR neighbor arena from
+    /// a `(key, record)` list. The list
     /// need not be sorted; keys must be unique. `pub(crate)` so the
     /// tile-sharded build can drop its per-tile hit lists *before* the
     /// arena is built — the peak-memory edge over the monolithic path,
@@ -517,38 +486,12 @@ impl CrossingIndex {
         }
         adj_off.push(adj.len() as u32);
 
-        // Net-level coupling CSR: sorted deduplicated rows, one per net
-        // id up to the highest net that crosses anything. Pairs are
-        // packed into u64s so the sort runs on plain integers.
-        let net_hi = keys.iter().map(|k| k.2 + 1).max().unwrap_or(0);
-        let mut pairs_nn: Vec<u64> = Vec::with_capacity(2 * keys.len());
-        for &(a, _, b, _) in &keys {
-            pairs_nn.push(((a as u64) << 32) | b as u64);
-            pairs_nn.push(((b as u64) << 32) | a as u64);
-        }
-        pairs_nn.sort_unstable();
-        pairs_nn.dedup();
-        let mut net_adj_off = vec![0u32; net_hi + 1];
-        let mut net_adj = Vec::with_capacity(pairs_nn.len());
-        for packed in pairs_nn {
-            let (n, o) = ((packed >> 32) as usize, packed as u32);
-            net_adj.push(o);
-            net_adj_off[n + 1] = net_adj.len() as u32;
-        }
-        for i in 0..net_hi {
-            if net_adj_off[i + 1] < net_adj_off[i] {
-                net_adj_off[i + 1] = net_adj_off[i];
-            }
-        }
-
         Self {
             keys,
             records,
             adj_keys,
             adj_off,
             adj,
-            net_adj_off,
-            net_adj,
             info,
         }
     }
@@ -625,33 +568,6 @@ impl CrossingIndex {
             Ok(i) => &self.adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize],
             Err(_) => &[],
         }
-    }
-
-    /// The nets coupled to `net` through at least one crossing candidate
-    /// pair, sorted ascending — a borrowed CSR row, precomputed at build
-    /// time so pricing loops pay no per-call assembly.
-    #[inline]
-    pub fn net_neighbors(&self, net: usize) -> &[u32] {
-        if net + 1 >= self.net_adj_off.len() {
-            return &[];
-        }
-        &self.net_adj[self.net_adj_off[net] as usize..self.net_adj_off[net + 1] as usize]
-    }
-
-    /// Net-level adjacency over `net_count` nets: `adj[i]` lists, sorted
-    /// ascending, the nets sharing at least one crossing candidate pair
-    /// with net `i`. Materialized from the CSR rows; hot paths should
-    /// use [`net_neighbors`](Self::net_neighbors) directly.
-    pub fn net_adjacency(&self, net_count: usize) -> Vec<Vec<usize>> {
-        (0..net_count)
-            .map(|i| {
-                self.net_neighbors(i)
-                    .iter()
-                    .map(|&n| n as usize)
-                    .filter(|&n| n < net_count)
-                    .collect()
-            })
-            .collect()
     }
 
     /// Number of crossing candidate pairs.
@@ -805,11 +721,11 @@ fn sweep_hits(segs: &[SegRef]) -> Vec<Hit> {
 
 /// Grid-bucketed packed hits over the flattened segments: the body of
 /// the grid build, shared with [`subset_hits`]. Returns the raw
-/// (unsorted, possibly duplicated) hits and whether the pair tests ran
-/// on the executor's workers.
-fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> (Vec<Hit>, bool) {
+/// (unsorted, possibly duplicated) hits.
+fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>) -> Vec<Hit> {
+    let mut hits: Vec<Hit> = Vec::new();
     if segs.len() < 2 {
-        return (Vec::new(), false);
+        return hits;
     }
     let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
     for sr in &segs[1..] {
@@ -824,26 +740,12 @@ fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> 
         grid.insert(id as u32, sr.s);
     }
 
-    let cells: Vec<usize> = grid
-        .nonempty_cells()
-        .into_iter()
-        .filter(|&c| grid.cell_items(c).len() >= 2)
-        .collect();
-
-    // Every properly-crossing segment pair co-occupies the cell of
-    // its crossing point, so testing within cells finds all of them;
-    // a pair sharing several cells is found several times and
-    // deduplicated by the caller's sort.
-    let pair_tests: u64 = cells
-        .iter()
-        .map(|&c| {
-            let n = grid.cell_items(c).len() as u64;
-            n * (n - 1) / 2
-        })
-        .sum();
-    let test_cell = |cell: usize| {
+    // Every properly-crossing segment pair co-occupies the cell of its
+    // crossing point, so testing within cells finds all of them; a pair
+    // sharing several cells is found several times and deduplicated by
+    // the caller's sort.
+    for cell in grid.nonempty_cells() {
         let ids = grid.cell_items(cell);
-        let mut out = Vec::new();
         for (x, &ia) in ids.iter().enumerate() {
             let a = &segs[ia as usize];
             for &ib in &ids[x + 1..] {
@@ -852,26 +754,11 @@ fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> 
                     continue;
                 }
                 let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-                out.push(pack_hit(p, q));
+                hits.push(pack_hit(p, q));
             }
         }
-        out
-    };
-    let parallel = pair_tests >= GRID_PARALLEL_MIN_PAIR_TESTS;
-    let hits: Vec<Hit> = if parallel {
-        let per_cell: Vec<Vec<Hit>> = exec.par_map(&cells, |&cell| test_cell(cell));
-        per_cell.into_iter().flatten().collect()
-    } else {
-        // Small build: the executor's fan-out overhead exceeds the
-        // pair-test work, so run the cells inline. The caller's global
-        // sort makes both paths byte-identical.
-        let mut flat = Vec::new();
-        for &cell in &cells {
-            flat.append(&mut test_cell(cell));
-        }
-        flat
-    };
-    (hits, parallel)
+    }
+    hits
 }
 
 /// Packed hits among the nets flagged in `involved`, using the same
@@ -879,7 +766,7 @@ fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>, exec: &Executor) -> 
 /// segments. Raw output — unsorted and possibly duplicated; the caller
 /// owns the sort + dedup (the tile-sharded build filters, merges, and
 /// deduplicates tile outputs before assembly).
-pub(crate) fn subset_hits(nets: &[NetCandidates], involved: &[bool], exec: &Executor) -> Vec<Hit> {
+pub(crate) fn subset_hits(nets: &[NetCandidates], involved: &[bool]) -> Vec<Hit> {
     let segs = collect_involved_segments(nets, involved);
     if segs.len() < 2 {
         return Vec::new();
@@ -887,7 +774,7 @@ pub(crate) fn subset_hits(nets: &[NetCandidates], involved: &[bool], exec: &Exec
     if pick_sweep(&segs) {
         sweep_hits(&segs)
     } else {
-        grid_hits(&segs, None, exec).0
+        grid_hits(&segs, None)
     }
 }
 
@@ -1215,8 +1102,8 @@ mod tests {
     }
 
     /// Full structural equality: semantic value (keys + records) plus the
-    /// derived CSR arenas, so a builder that corrupted neighbor lists or
-    /// the net coupling graph cannot hide behind the `PartialEq` impl.
+    /// derived CSR arena, so a builder that corrupted neighbor lists
+    /// cannot hide behind the `PartialEq` impl.
     fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: pair count");
         assert_eq!(a.keys, b.keys, "{label}: keys");
@@ -1224,8 +1111,6 @@ mod tests {
         assert_eq!(a.adj_keys, b.adj_keys, "{label}: neighbor owners");
         assert_eq!(a.adj_off, b.adj_off, "{label}: neighbor offsets");
         assert_eq!(a.adj, b.adj, "{label}: neighbor arena");
-        assert_eq!(a.net_adj_off, b.net_adj_off, "{label}: net CSR offsets");
-        assert_eq!(a.net_adj, b.net_adj, "{label}: net CSR");
     }
 
     #[test]
@@ -1417,20 +1302,6 @@ mod tests {
     }
 
     #[test]
-    fn small_grid_build_runs_inline() {
-        // Two crossing diagonals are far below the parallel threshold:
-        // the build must take the sequential path and say so.
-        let nets = vec![
-            optical_net(0, Point::new(0, 0), Point::new(100, 100)),
-            optical_net(1, Point::new(0, 100), Point::new(100, 0)),
-        ];
-        let idx = CrossingIndex::build_with_strategy(&nets, &Executor::new(8), BuildStrategy::Grid);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
-        assert!(!idx.build_info().parallel);
-        assert_eq!(idx.len(), 1);
-    }
-
-    #[test]
     fn auto_strategy_picks_sweep_on_dispersed_lengths() {
         // A few die-spanning trunks over a field of short stubs: decile
         // dispersion far beyond 4x, so Auto must choose the sweep.
@@ -1548,25 +1419,6 @@ mod tests {
     }
 
     #[test]
-    fn net_adjacency_lists_coupled_nets() {
-        let nets = vec![
-            optical_net(0, Point::new(0, 0), Point::new(100, 100)),
-            optical_net(1, Point::new(0, 100), Point::new(100, 0)),
-            optical_net(2, Point::new(2000, 0), Point::new(2000, 100)),
-        ];
-        let idx = CrossingIndex::build(&nets);
-        let adj = idx.net_adjacency(3);
-        assert_eq!(adj[0], vec![1]);
-        assert_eq!(adj[1], vec![0]);
-        assert!(adj[2].is_empty());
-        // The CSR rows agree with the materialized lists.
-        assert_eq!(idx.net_neighbors(0), &[1]);
-        assert_eq!(idx.net_neighbors(1), &[0]);
-        assert!(idx.net_neighbors(2).is_empty());
-        assert!(idx.net_neighbors(99).is_empty());
-    }
-
-    #[test]
     fn neighbors_of_unknown_candidate_is_empty() {
         let nets = vec![optical_net(0, Point::new(0, 0), Point::new(100, 100))];
         let idx = CrossingIndex::build(&nets);
@@ -1608,20 +1460,11 @@ mod tests {
             let nets = random_nets(&raw);
             let reference = CrossingIndex::build_reference(&nets);
             for threads in [1usize, 2, 8] {
-                let exec = Executor::new(threads);
-                let auto = CrossingIndex::build_with(&nets, &exec);
+                let auto = CrossingIndex::build_with(&nets, &Executor::new(threads));
                 assert_index_eq(&auto, &reference, &format!("auto, threads={threads}"));
-                let sized = CrossingIndex::build_with_grid_dims(
-                    &nets,
-                    &exec,
-                    Some((cols, rows)),
-                );
-                assert_index_eq(
-                    &sized,
-                    &reference,
-                    &format!("{cols}x{rows} grid, threads={threads}"),
-                );
             }
+            let sized = CrossingIndex::build_grid(&nets, Some((cols, rows)));
+            assert_index_eq(&sized, &reference, &format!("{cols}x{rows} grid"));
         }
 
         /// Sweep-specific equivalence pin: the cramped 0..24 range packs

@@ -740,8 +740,10 @@ pub(crate) fn record_ilp_stats(stage: &mut operon_exec::StageScope<'_>, sel: &Se
     }
 }
 
-/// Surfaces the incremental-pricing counters into the selection stage's
-/// run-report record (a no-op for paths that never ran the LR loop).
+/// Surfaces the LR work counters into the selection stage's run-report
+/// record (a no-op for paths that never ran the LR loop). The two
+/// `lr_reused_*` counters are always 0; they stay so run reports keep a
+/// stable counter set.
 pub(crate) fn record_lr_stats(stage: &mut operon_exec::StageScope<'_>, sel: &SelectionResult) {
     if let Some(stats) = sel.lr_stats {
         stage.record("lr_iterations", stats.iterations);
@@ -754,9 +756,9 @@ pub(crate) fn record_lr_stats(stage: &mut operon_exec::StageScope<'_>, sel: &Sel
 
 /// Surfaces the crossing build's provenance into its stage record: which
 /// strategy ran (`crossing_build_{brute,grid,sweep,delta} = 1`), whether
-/// the pair tests used the executor's workers, and the pair count. All
-/// three are pure functions of the candidate set, so run reports stay
-/// thread-count invariant.
+/// the pair tests used the executor's workers (only the brute-force
+/// oracle does), and the pair count. All three are pure functions of the
+/// candidate set, so run reports stay thread-count invariant.
 pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx: &CrossingIndex) {
     let info = idx.build_info();
     let counter = match info.strategy {

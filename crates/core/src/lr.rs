@@ -15,31 +15,22 @@
 //! fallback so the returned selection is always feasible — the paper's
 //! "residual nets have to be completed through electrical wires".
 //!
-//! # Incremental pricing
+//! # Full Jacobi recompute
 //!
-//! Net `i`'s pricing subproblem reads exactly three inputs: its own
-//! multipliers `λ[i]`, the multipliers `λ[m]` of the nets it crosses, and
-//! those nets' previous selections. When none of them moved (bitwise)
-//! since the last iteration, re-running the argmin would reproduce the
-//! cached answer bit for bit — so [`select_lr_with`] skips it and reuses
-//! the cached one. The same reasoning caches the loaded-loss evaluations
-//! feeding the sub-gradient. The iterate sequence is therefore identical
-//! to the full recomputation loop, which is retained as
-//! [`select_lr_reference`] and pinned by fixture tests.
+//! Every iteration re-prices every net against the frozen previous
+//! iterate and re-evaluates every loaded loss — the plain Alg. 1 loop.
+//! Both are pure per-net functions of that frozen state, so they fan out
+//! over the executor; only the multiplier update runs sequentially. The
+//! loop is pinned bit for bit to the sequential [`select_lr_reference`]
+//! oracle by fixture tests and `crossing_bench`.
 //!
 //! # Arena state
 //!
-//! All per-call state lives in flat arenas inside [`LrWorkspace`]: the
-//! multipliers are one contiguous `Vec<f64>` indexed through CSR offsets
-//! (`LambdaArena`), the dirty bits are refilled in place, and the cached
-//! load vectors are scattered into persistent rows. A [`LrWorkspace`] is
-//! reusable across calls — `WarmSession` owns one, so resident re-solves
-//! allocate nothing proportional to the design in the iteration loop
-//! (the P002 lint keeps this path allocation-free). The coupling graph
-//! consulted by the dirty sets is the crossing index's precomputed CSR
-//! ([`CrossingIndex::net_neighbors`]); building a per-call adjacency here
-//! was what made incremental pricing slower than the reference at small
-//! iteration counts.
+//! The multipliers live in one flat arena inside [`LrWorkspace`]: a
+//! contiguous `Vec<f64>` indexed through CSR offsets (`LambdaArena`). A
+//! [`LrWorkspace`] is reusable across calls — `WarmSession` owns one, so
+//! resident re-solves re-initialize the arena in place instead of
+//! reallocating it.
 
 use crate::codesign::NetCandidates;
 use crate::config::OperonConfig;
@@ -51,19 +42,19 @@ use crate::CrossingIndex;
 use operon_exec::Executor;
 use operon_optics::OpticalLib;
 
-/// Work counters of one LR selection: how much pricing the incremental
-/// dirty sets actually performed versus reused.
+/// Work counters of one LR selection.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LrStats {
     /// Sub-gradient iterations run (≤ `lr_max_iters`).
     pub iterations: u64,
-    /// Pricing subproblems actually solved.
+    /// Pricing subproblems solved (`iterations × nets`).
     pub priced_nets: u64,
-    /// Pricing subproblems skipped because no input moved.
+    /// Always 0: every net is re-priced every iteration. Kept so run
+    /// reports and their consumers keep a stable counter set.
     pub reused_prices: u64,
-    /// Loaded-loss vectors actually evaluated.
+    /// Loaded-loss vectors evaluated (`iterations × nets`).
     pub load_evals: u64,
-    /// Loaded-loss vectors reused from the previous iteration.
+    /// Always 0, like [`reused_prices`](Self::reused_prices).
     pub reused_loads: u64,
 }
 
@@ -130,53 +121,21 @@ impl LambdaArena {
     }
 }
 
-/// Persistent scratch state of the incremental LR loop.
+/// Persistent multiplier arena of the LR loop.
 ///
-/// Owning one across calls (as `WarmSession` does) makes repeated
-/// selections allocation-free in the iteration loop: the multiplier
-/// arena, the dirty bits, and the load rows are all resized in place.
-/// The workspace carries no results between calls — every call fully
-/// re-initializes it — so reuse can never change an outcome, only skip
-/// allocator traffic.
+/// Owning one across calls (as `WarmSession` does) lets repeated
+/// selections re-initialize the arena in place. The workspace carries no
+/// results between calls — every call fully re-initializes it — so reuse
+/// can never change an outcome, only skip allocator traffic.
 #[derive(Clone, Debug, Default)]
 pub struct LrWorkspace {
     lambda: LambdaArena,
-    /// Whether net `i`'s multipliers moved in the last update.
-    lambda_changed: Vec<bool>,
-    /// Whether net `i`'s selection moved in the previous iteration.
-    prev_selection_changed: Vec<bool>,
-    /// Per-iteration dirty bits, refilled in place.
-    price_dirty: Vec<bool>,
-    selection_changed: Vec<bool>,
-    loads_dirty: Vec<bool>,
-    /// Cached loaded-loss vectors of the previous iteration; rows of
-    /// clean nets survive untouched (the old implementation cloned them
-    /// through the executor every iteration).
-    loads: Vec<Vec<f64>>,
 }
 
 impl LrWorkspace {
     /// An empty workspace; grows to fit on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sizes every buffer for `nets` and resets the per-call flags.
-    fn reset(&mut self, nets: &[NetCandidates], lib: &OpticalLib) {
-        let n = nets.len();
-        self.lambda.init(nets, lib);
-        self.lambda_changed.clear();
-        self.lambda_changed.resize(n, true);
-        self.prev_selection_changed.clear();
-        self.prev_selection_changed.resize(n, true);
-        self.price_dirty.clear();
-        self.price_dirty.resize(n, false);
-        self.selection_changed.clear();
-        self.selection_changed.resize(n, false);
-        self.loads_dirty.clear();
-        self.loads_dirty.resize(n, false);
-        self.loads.truncate(n);
-        self.loads.resize_with(n, Vec::new);
     }
 }
 
@@ -244,19 +203,8 @@ pub fn select_lr_in_ordered(
 ) -> SelectionResult {
     let start = operon_exec::Stopwatch::start();
     let lib = &config.optical;
-
-    ws.reset(nets, lib);
-    // Split borrows: the pricing closures read `lambda` and the dirty
-    // bits concurrently while the sequential update below writes them.
-    let LrWorkspace {
-        lambda,
-        lambda_changed,
-        prev_selection_changed,
-        price_dirty,
-        selection_changed,
-        loads_dirty,
-        loads,
-    } = ws;
+    let lambda = &mut ws.lambda;
+    lambda.init(nets, lib);
 
     // Start from the unloaded greedy selection.
     let mut choice: Vec<usize> = crate::shard::ordered_map_indexed(exec, nets, order, |i, nc| {
@@ -266,99 +214,47 @@ pub fn select_lr_in_ordered(
     let mut prev_power = f64::INFINITY;
     let mut prev_violation = f64::INFINITY;
     let mut stats = LrStats::default();
-    // Whether `loads` holds this call's previous-iteration vectors.
-    let mut loads_primed = false;
 
     for iter in 1..=config.lr_max_iters {
         stats.iterations += 1;
-        // Select per net against the previous iterate (lines 5). Net `i`
-        // must re-price iff its own or a neighbor's multipliers moved, or
-        // a neighbor's previous selection moved. Iteration 1 prices all:
-        // the cold start ran without crossing terms. The coupling graph
-        // is the crossing index's precomputed CSR rows — nothing is
-        // built per call.
+        stats.priced_nets += nets.len() as u64;
+        stats.load_evals += nets.len() as u64;
+        // Select per net against the previous iterate (line 5).
         let previous = choice;
-        let first = iter == 1;
-        for (i, dirty) in price_dirty.iter_mut().enumerate() {
-            *dirty = first
-                || lambda_changed[i]
-                || crossings
-                    .net_neighbors(i)
-                    .iter()
-                    .any(|&m| lambda_changed[m as usize] || prev_selection_changed[m as usize]);
-        }
         choice = crate::shard::ordered_map_indexed(exec, nets, order, |i, nc| {
-            if price_dirty[i] {
-                best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
-            } else {
-                previous[i]
-            }
+            best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
         });
-        let priced = price_dirty.iter().filter(|&&d| d).count() as u64;
-        stats.priced_nets += priced;
-        stats.reused_prices += nets.len() as u64 - priced;
 
         // Violations under the current joint selection (line 6). The
         // loaded losses are pure per-net functions of the frozen
-        // `choice`, so the dirty ones batch-evaluate in parallel; a net
-        // whose selection and neighbor selections are unchanged keeps
-        // last iteration's row in place — no clone, no copy. The
-        // multiplier updates below consume them in net order.
-        for (i, changed) in selection_changed.iter_mut().enumerate() {
-            *changed = choice[i] != previous[i];
-        }
-        for (i, dirty) in loads_dirty.iter_mut().enumerate() {
-            *dirty = !loads_primed
-                || selection_changed[i]
-                || crossings
-                    .net_neighbors(i)
-                    .iter()
-                    .any(|&m| selection_changed[m as usize]);
-        }
-        let fresh: Vec<Option<Vec<f64>>> =
-            crate::shard::ordered_map_indexed(exec, nets, order, |i, _| {
-                loads_dirty[i].then(|| loaded_path_losses(nets, crossings, &choice, i, lib))
-            });
-        for (row, f) in loads.iter_mut().zip(fresh) {
-            if let Some(v) = f {
-                *row = v;
-            }
-        }
-        loads_primed = true;
-        let evaluated = loads_dirty.iter().filter(|&&d| d).count() as u64;
-        stats.load_evals += evaluated;
-        stats.reused_loads += nets.len() as u64 - evaluated;
-
+        // `choice`, so they batch-evaluate in parallel; the multiplier
+        // updates below consume them in net order.
+        let loads: Vec<Vec<f64>> = crate::shard::ordered_map_indexed(exec, nets, order, |i, _| {
+            loaded_path_losses(nets, crossings, &choice, i, lib)
+        });
         let mut total_violation = 0.0f64;
         let step = 1.0 / iter as f64;
-        for (i, loaded) in loads.iter().enumerate() {
+        for (i, loaded) in loads.into_iter().enumerate() {
             let ci = choice[i];
-            let mut changed = false;
             let lam_sel = lambda.paths_mut(i, ci);
-            for (pi, &load) in loaded.iter().enumerate() {
+            for (pi, load) in loaded.into_iter().enumerate() {
                 let subgradient = load - lib.max_loss_db;
                 if subgradient > 0.0 {
                     total_violation += subgradient;
                 }
                 let l = &mut lam_sel[pi];
-                let updated = (*l + step * subgradient * 0.1).max(0.0);
-                changed |= updated.to_bits() != l.to_bits();
-                *l = updated;
+                *l = (*l + step * subgradient * 0.1).max(0.0);
             }
             // Paths of unselected candidates relax toward zero (their
             // constraint LHS is 0, sub-gradient -l_m).
             for j in 0..nets[i].candidates.len() {
                 if j != ci {
                     for l in lambda.paths_mut(i, j) {
-                        let updated = (*l - step * lib.max_loss_db * 0.01).max(0.0);
-                        changed |= updated.to_bits() != l.to_bits();
-                        *l = updated;
+                        *l = (*l - step * lib.max_loss_db * 0.01).max(0.0);
                     }
                 }
             }
-            lambda_changed[i] = changed;
         }
-        std::mem::swap(prev_selection_changed, selection_changed);
 
         let power = selection_power_mw(nets, &choice);
         let power_gain = (prev_power - power) / prev_power.max(1e-12);
@@ -377,47 +273,13 @@ pub fn select_lr_in_ordered(
         }
     }
 
-    // Repair + polish the LR iterate, and — as a second start — the plain
-    // cheapest-per-net selection; keep whichever lands lower. The second
-    // start guards against the LR iterate digging itself into a repair
-    // basin worse than the trivial greedy one on crossing-dense instances.
-    let polished_lr = repair_and_polish(nets, crossings, choice, lib);
-    let greedy: Vec<usize> = nets
-        .iter()
-        .map(|nc| {
-            nc.candidates
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_power_mw().total_cmp(&b.1.total_power_mw()))
-                .map(|(j, _)| j)
-                .unwrap_or(nc.electrical_idx)
-        })
-        .collect();
-    let polished_greedy = repair_and_polish(nets, crossings, greedy, lib);
-
-    let choice =
-        if selection_power_mw(nets, &polished_lr) <= selection_power_mw(nets, &polished_greedy) {
-            polished_lr
-        } else {
-            polished_greedy
-        };
-    debug_assert!(selection_feasible(nets, crossings, &choice, lib));
-
-    SelectionResult {
-        power_mw: selection_power_mw(nets, &choice),
-        proven_optimal: false,
-        elapsed: start.elapsed(),
-        choice,
-        ilp_stats: None,
-        lr_stats: Some(stats),
-    }
+    finish_selection(nets, crossings, lib, choice, start, Some(stats))
 }
 
-/// The pre-incremental LR loop: every net re-priced and every loaded loss
-/// re-evaluated, every iteration, sequentially. Retained as the oracle
-/// that pins [`select_lr`]'s iterate sequence — the incremental dirty-set
-/// loop must reproduce this result bit for bit (see the fixture tests and
-/// `crossing_bench`).
+/// The LR loop written sequentially, without executor, schedule or
+/// workspace. Retained as the oracle that pins [`select_lr_in`]'s iterate
+/// sequence — the parallel loop must reproduce this result bit for bit
+/// (see the fixture tests and `crossing_bench`).
 pub fn select_lr_reference(
     nets: &[NetCandidates],
     crossings: &CrossingIndex,
@@ -444,7 +306,7 @@ pub fn select_lr_reference(
             .iter()
             .enumerate()
             .map(|(i, nc)| best_candidate(nc, i, &lambda, Some(&previous), crossings, lib))
-            // operon-lint: allow(P002, reason = "cold sequential reference oracle; the warm path in select_lr_in is the hot one and reuses buffers")
+            // operon-lint: allow(P002, reason = "cold sequential reference oracle; the warm path in select_lr_in is the hot one")
             .collect();
 
         let all_loads: Vec<Vec<f64>> = (0..nets.len())
@@ -490,6 +352,22 @@ pub fn select_lr_reference(
         }
     }
 
+    finish_selection(nets, crossings, lib, choice, start, None)
+}
+
+/// The shared tail of both LR loops: repair + polish the LR iterate and —
+/// as a second start — the plain cheapest-per-net selection, keeping
+/// whichever lands lower. The second start guards against the LR iterate
+/// digging itself into a repair basin worse than the trivial greedy one
+/// on crossing-dense instances.
+fn finish_selection(
+    nets: &[NetCandidates],
+    crossings: &CrossingIndex,
+    lib: &OpticalLib,
+    choice: Vec<usize>,
+    start: operon_exec::Stopwatch,
+    lr_stats: Option<LrStats>,
+) -> SelectionResult {
     let polished_lr = repair_and_polish(nets, crossings, choice, lib);
     let greedy: Vec<usize> = nets
         .iter()
@@ -510,6 +388,7 @@ pub fn select_lr_reference(
         } else {
             polished_greedy
         };
+    debug_assert!(selection_feasible(nets, crossings, &choice, lib));
 
     SelectionResult {
         power_mw: selection_power_mw(nets, &choice),
@@ -517,7 +396,7 @@ pub fn select_lr_reference(
         elapsed: start.elapsed(),
         choice,
         ilp_stats: None,
-        lr_stats: None,
+        lr_stats,
     }
 }
 
@@ -945,11 +824,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_lr_matches_reference_selector() {
-        // Contested two-pin bundle: crossing-coupled nets exercise the
-        // dirty-set propagation and fragile candidates force repair, so
-        // the incremental loop must hit both the reuse and recompute
-        // branches while staying bit-identical to the plain selector.
+    fn contested_lr_matches_reference_selector() {
+        // Contested two-pin bundle: crossing-coupled nets move each
+        // other's prices and fragile candidates force repair, so the
+        // parallel loop must stay bit-identical to the sequential oracle
+        // through both.
         let lib = OpticalLib::paper_defaults();
         let mut nets: Vec<NetCandidates> = (0..8)
             .map(|k| {
@@ -1011,11 +890,12 @@ mod tests {
     }
 
     #[test]
-    fn incremental_lr_matches_reference_on_synth_fixture() {
+    fn lr_matches_reference_on_synth_fixture() {
         // Full synthetic design (I1-class): real candidate sets, real
-        // crossing structure. Pins the incremental pricing loop against
-        // the retained reference selector and checks the stats counters
-        // actually record reuse.
+        // crossing structure. Pins the parallel pricing loop against the
+        // sequential reference selector at several thread counts through
+        // one reused workspace, and checks every net is priced and
+        // load-evaluated every iteration.
         use crate::codesign::generate_candidates;
         use operon_cluster::build_hyper_nets;
         use operon_netlist::synth::{generate, SynthConfig};
@@ -1031,19 +911,21 @@ mod tests {
             .collect();
         let crossings = CrossingIndex::build(&nets);
         let reference = select_lr_reference(&nets, &crossings, &config);
-        let r = select_lr(&nets, &crossings, &config);
-        assert_eq!(r.choice, reference.choice);
-        assert_eq!(r.power_mw.to_bits(), reference.power_mw.to_bits());
-        let stats = r.lr_stats.expect("LR path records stats");
-        assert!(stats.iterations > 0);
-        assert_eq!(
-            stats.priced_nets + stats.reused_prices,
-            stats.iterations * nets.len() as u64
-        );
-        assert!(
-            stats.reused_prices > 0,
-            "incremental pricing should reuse at least some prices: {stats:?}"
-        );
+        let mut ws = LrWorkspace::new();
+        for threads in [1, 2, 8] {
+            let r = select_lr_in(&nets, &crossings, &config, &Executor::new(threads), &mut ws);
+            assert_eq!(r.choice, reference.choice, "threads={threads}");
+            assert_eq!(
+                r.power_mw.to_bits(),
+                reference.power_mw.to_bits(),
+                "threads={threads}"
+            );
+            let stats = r.lr_stats.expect("LR path records stats");
+            assert!(stats.iterations > 0);
+            let full = stats.iterations * nets.len() as u64;
+            assert_eq!(stats.priced_nets, full, "threads={threads}");
+            assert_eq!(stats.load_evals, full, "threads={threads}");
+        }
     }
 
     /// A naive reference repair: start from per-net cheapest, drop the

@@ -26,7 +26,7 @@
 //!   discovery only on tiles whose involved nets changed and re-merges
 //!   the lists through the canonical funnel;
 //! * selection re-runs globally (a local change can shift the crossing
-//!   coupling anywhere), with the LR pricer's within-call dirty sets;
+//!   coupling anywhere), on the session's resident LR workspace;
 //! * WDM planning re-runs via [`wdm::plan_resident_with`], and the
 //!   committed networks stay resident so deletion what-ifs
 //!   ([`WarmSession::probe_wdm`]) are transactional
@@ -183,7 +183,7 @@ pub struct WarmSession {
     /// answers the current configuration outright.
     dirty: DirtyStage,
     stats: SessionStats,
-    /// Persistent LR pricing arenas, reused by every selection this
+    /// Persistent LR multiplier arena, reused by every selection this
     /// session runs (reuse never changes results, only skips allocator
     /// traffic — see [`LrWorkspace`]).
     lr_ws: LrWorkspace,

@@ -278,7 +278,7 @@ fn tile_pass(
     for &i in involved_ids {
         involved[i as usize] = true;
     }
-    let mut hits = subset_hits(nets, &involved, &Executor::sequential());
+    let mut hits = subset_hits(nets, &involved);
     let t = t as u32;
     hits.retain(|&(key, _)| {
         let (a, b) = hit_nets(key);
@@ -295,7 +295,7 @@ fn boundary_pass(nets: &[NetCandidates], part: &ShardPartition) -> Vec<Hit> {
     for &b in &part.boundary {
         involved[b as usize] = true;
     }
-    let mut hits = subset_hits(nets, &involved, &Executor::sequential());
+    let mut hits = subset_hits(nets, &involved);
     hits.sort_unstable();
     hits.dedup();
     hits

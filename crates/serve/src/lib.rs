@@ -409,8 +409,11 @@ impl Server {
     /// The blocking serve loop: reads request lines from `reader` until
     /// EOF or `shutdown`, writing one response line per request to
     /// `writer` (flushed per drain so pipe peers can pipeline).
-    /// When `record` is given, every raw request line is appended to it
-    /// — the resulting file replays via [`Server::run_trace`].
+    /// When `record` is given, every request line is appended to it — the
+    /// resulting file replays via [`Server::run_trace`]. Lines are decoded
+    /// lossily: invalid UTF-8 becomes U+FFFD, so a bad byte yields an
+    /// error response instead of ending the loop, and the recorded
+    /// (decoded) line replays to the same response.
     ///
     /// Requests already buffered in `reader` are batched together;
     /// the concrete batching never changes any response byte (see the
@@ -425,10 +428,10 @@ impl Server {
         writer: &mut W,
         mut record: Option<&mut dyn Write>,
     ) -> std::io::Result<()> {
-        let mut line = String::new();
+        let mut line = Vec::new();
         while !self.shutdown {
             line.clear();
-            if reader.read_line(&mut line)? == 0 {
+            if reader.read_until(b'\n', &mut line)? == 0 {
                 break; // EOF
             }
             let mut pending = Vec::new();
@@ -445,15 +448,15 @@ impl Server {
                 });
                 Ok(())
             };
-            queue_line(&line, &mut record)?;
+            queue_line(&String::from_utf8_lossy(&line), &mut record)?;
             // Drain whatever further complete lines the pipe already
             // delivered: they form the batching window.
             while reader.buffer().contains(&b'\n') {
                 line.clear();
-                if reader.read_line(&mut line)? == 0 {
+                if reader.read_until(b'\n', &mut line)? == 0 {
                     break;
                 }
-                queue_line(&line, &mut record)?;
+                queue_line(&String::from_utf8_lossy(&line), &mut record)?;
             }
             let mut out = String::new();
             self.drain(&mut pending, &mut out);
@@ -934,5 +937,28 @@ mod tests {
         // The recorded trace replays to the same responses.
         let mut replayer = Server::new(Executor::sequential(), 1);
         assert_eq!(replayer.run_trace(&trace), out);
+
+        // A non-UTF-8 line is answered with an error; the loop keeps
+        // serving, and the recorded (lossily decoded) trace replays to
+        // the same response bytes.
+        let mut stream = open_line("s").into_bytes();
+        stream.extend_from_slice(b"\n\xff\xfe junk\n{\"op\":\"route\",\"session\":\"s\"}\n");
+        let mut server = Server::new(Executor::sequential(), 1);
+        let mut reader = BufReader::new(stream.as_slice());
+        let mut out = Vec::new();
+        let mut recorded = Vec::new();
+        server
+            .serve(&mut reader, &mut out, Some(&mut recorded))
+            .expect("a bad byte must not end the serve loop");
+        let out = String::from_utf8(out).expect("responses are UTF-8");
+        let responses: Vec<&str> = out.lines().collect();
+        assert_eq!(responses.len(), 3, "{out}");
+        assert!(responses[0].contains("\"ok\":true"), "{out}");
+        assert!(responses[1].contains("\"ok\":false"), "{out}");
+        assert!(responses[2].contains("\"power_mw\""), "{out}");
+        assert_eq!(server.session_count(), 1);
+        let recorded = String::from_utf8(recorded).expect("recorded trace is UTF-8");
+        let mut replayer = Server::new(Executor::sequential(), 1);
+        assert_eq!(replayer.run_trace(&recorded), out);
     }
 }
