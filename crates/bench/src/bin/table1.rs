@@ -9,7 +9,9 @@
 //!
 //! The default ILP budget is 300 s per benchmark; like the paper's
 //! Gurobi runs (capped at 3000 s), large instances are expected to hit
-//! the limit and report their best incumbent.
+//! the limit and report their best incumbent. Both CPU columns time the
+//! selection stage only (`SelectionResult::elapsed` of the ILP or LR
+//! selector), not clustering, candidate generation, crossing or WDM.
 
 use operon_bench::{benchmarks, fmt_power, run_table1_row, BenchRow};
 use operon_exec::Executor;
@@ -32,7 +34,7 @@ fn main() {
     let rows: Vec<BenchRow> = exec.par_map_coarse(&configs, |cfg| run_table1_row(cfg, ilp_limit));
 
     println!(
-        "{:<6} {:>6} {:>6} {:>6} | {:>12} {:>12} | {:>12} {:>9} | {:>12} {:>9}",
+        "{:<6} {:>6} {:>6} {:>6} | {:>12} {:>12} | {:>12} {:>20} | {:>12} {:>20}",
         "Bench",
         "#Net",
         "#HNet",
@@ -40,11 +42,11 @@ fn main() {
         "Electrical",
         "Optical",
         "OPERON(ILP)",
-        "CPU(s)",
+        "ILP selection CPU(s)",
         "OPERON(LR)",
-        "CPU(s)",
+        "LR selection CPU(s)",
     );
-    println!("{}", "-".to_string().repeat(110));
+    println!("{}", "-".to_string().repeat(127));
     let mut sums = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     for row in &rows {
         let ilp_cpu = if row.ilp_optimal {
@@ -53,7 +55,7 @@ fn main() {
             format!(">{:.0}", row.ilp_cpu.as_secs_f64())
         };
         println!(
-            "{:<6} {:>6} {:>6} {:>6} | {:>12} {:>12} | {:>12} {:>9} | {:>12} {:>9.1}",
+            "{:<6} {:>6} {:>6} {:>6} | {:>12} {:>12} | {:>12} {:>20} | {:>12} {:>20.1}",
             row.name,
             row.nets,
             row.hnets,
@@ -71,9 +73,9 @@ fn main() {
         sums.3 += row.lr_mw;
     }
     let n = rows.len() as f64;
-    println!("{}", "-".to_string().repeat(110));
+    println!("{}", "-".to_string().repeat(127));
     println!(
-        "{:<27} | {:>12} {:>12} | {:>12} {:>9} | {:>12}",
+        "{:<27} | {:>12} {:>12} | {:>12} {:>20} | {:>12}",
         "average",
         fmt_power(sums.0 / n),
         fmt_power(sums.1 / n),
@@ -82,7 +84,7 @@ fn main() {
         fmt_power(sums.3 / n),
     );
     println!(
-        "{:<27} | {:>12.3} {:>12.3} | {:>12.3} {:>9} | {:>12.3}",
+        "{:<27} | {:>12.3} {:>12.3} | {:>12.3} {:>20} | {:>12.3}",
         "ratio (vs Optical)",
         sums.0 / sums.1,
         1.0,

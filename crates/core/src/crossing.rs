@@ -9,29 +9,25 @@
 //! reads the same index when pricing candidates against the previous
 //! iterate (Eq. (5)).
 //!
-//! # Build strategies
+//! # One builder plus an oracle
 //!
-//! Three interchangeable builders produce byte-identical indexes:
-//!
+//! * **Sweep** — the production discovery: the Bentley–Ottmann sweep
+//!   line ([`operon_geom::sweep_crossings`]), output-sensitive
+//!   `O((n + k) log n)`, which reports each crossing segment pair exactly
+//!   once. Candidate sets with a coordinate beyond
+//!   [`SWEEP_COORD_LIMIT`] (the bound of the sweep's exact arithmetic)
+//!   fall back to testing every segment pair. [`CrossingIndex::build_with`],
+//!   [`CrossingIndex::rebuild_delta`] and the tile-sharded passes
+//!   ([`crate::shard`]) all discover through this one function
+//!   (`discover_hits`), then funnel the packed hits through the same
+//!   global sort + assembly (see `Hit`), so the index is a pure function
+//!   of the candidate set, independent of iteration order and thread
+//!   count.
 //! * **Brute force** ([`CrossingIndex::build_reference`]) — all candidate
 //!   pairs behind net- and candidate-level bounding-box prefilters (the
-//!   paper's "non-overlapped bounding boxes" variable reduction).
-//!   Retained as the equivalence oracle for tests and benchmarks.
-//! * **Grid** — buckets every candidate segment into a uniform
-//!   [`SegmentGrid`] and tests only pairs that co-occupy a cell, inline
-//!   on the calling thread.
-//! * **Sweep** — the Bentley–Ottmann sweep line
-//!   ([`operon_geom::sweep_crossings`]), output-sensitive
-//!   `O((n + k) log n)`. Wins when segment lengths are widely dispersed:
-//!   a few die-spanning trunks force uniform grid cells to be either too
-//!   coarse for the short segments or too numerous for the long ones.
-//!
-//! [`CrossingIndex::build_with`] picks grid vs sweep with a documented
-//! segment-length dispersion heuristic (see [`BuildStrategy::Auto`]).
-//! Every strategy funnels its discovered crossings through the same
-//! packed-hit global sort + dedup + assembly (see `Hit`), so the
-//! index is a pure function of the candidate set — independent of
-//! strategy, cell count, iteration order, and thread count.
+//!   paper's "non-overlapped bounding boxes" variable reduction), with
+//!   its own per-pair counting. Retained as the equivalence oracle for
+//!   tests and benchmarks.
 //!
 //! # Arena layout
 //!
@@ -46,7 +42,7 @@
 
 use crate::codesign::NetCandidates;
 use operon_exec::Executor;
-use operon_geom::{sweep_crossings, BoundingBox, Segment, SegmentGrid, SWEEP_COORD_LIMIT};
+use operon_geom::{sweep_crossings, BoundingBox, Segment, SWEEP_COORD_LIMIT};
 
 /// Crossing counts between one ordered pair of candidates.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -88,34 +84,15 @@ impl Neighbor {
     }
 }
 
-/// Which crossing builder to run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BuildStrategy {
-    /// Pick grid vs sweep by segment-length dispersion: the deciles of
-    /// the Manhattan length distribution are compared, and `p90 ≥ 4·p10`
-    /// selects the sweep. Widely dispersed lengths are exactly the
-    /// regime where no uniform cell size fits both tails; tightly
-    /// clustered lengths let the grid's O(n) bucketing win.
-    #[default]
-    Auto,
-    /// All-pairs scan with bounding-box prefilters (the oracle).
-    BruteForce,
-    /// Uniform-grid cell bucketing.
-    Grid,
-    /// Bentley–Ottmann sweep line.
-    Sweep,
-}
-
 /// How an index was actually constructed — recorded for run reports.
 /// Not part of the index's semantic value: equality ignores it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ChosenBuild {
     /// All-pairs reference scan.
     BruteForce,
-    /// Uniform-grid cell bucketing.
+    /// Bentley–Ottmann sweep line (all-pairs segment tests beyond
+    /// [`SWEEP_COORD_LIMIT`]).
     #[default]
-    Grid,
-    /// Bentley–Ottmann sweep line.
     Sweep,
     /// Incremental [`CrossingIndex::rebuild_delta`] patch.
     Delta,
@@ -129,7 +106,6 @@ impl ChosenBuild {
     pub fn counter_name(self) -> &'static str {
         match self {
             ChosenBuild::BruteForce => "brute",
-            ChosenBuild::Grid => "grid",
             ChosenBuild::Sweep => "sweep",
             ChosenBuild::Delta => "delta",
             ChosenBuild::Sharded => "sharded",
@@ -137,19 +113,19 @@ impl ChosenBuild {
     }
 }
 
-/// Provenance of the last build: which strategy ran and whether the pair
+/// Provenance of the last build: which builder ran and whether the pair
 /// tests used the executor's workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BuildInfo {
-    /// The strategy that actually ran (never `Auto`).
+    /// The builder that ran.
     pub strategy: ChosenBuild,
     /// Whether pair tests were spread over the executor's workers: only
-    /// the brute-force oracle does; the grid, the sweep, delta patches
-    /// and sharded builds discover inline.
+    /// the brute-force oracle and sharded builds with more than one pass
+    /// do; full sweep builds and delta patches discover inline.
     pub parallel: bool,
 }
 
-/// One flattened candidate segment: the unit all builders work on.
+/// One flattened candidate segment: the unit discovery works on.
 struct SegRef {
     net: u32,
     cand: u32,
@@ -196,81 +172,14 @@ impl CrossingIndex {
         Self::build_with(nets, &Executor::sequential())
     }
 
-    /// [`build`](Self::build) with strategy [`BuildStrategy::Auto`]: the
-    /// dispersion heuristic picks grid or sweep. Identical output for
-    /// either choice.
-    pub fn build_with(nets: &[NetCandidates], exec: &Executor) -> Self {
-        Self::build_with_strategy(nets, exec, BuildStrategy::Auto)
-    }
-
-    /// Builds with an explicit strategy. All strategies produce
-    /// byte-identical indexes; only the work profile differs.
-    pub fn build_with_strategy(
-        nets: &[NetCandidates],
-        exec: &Executor,
-        strategy: BuildStrategy,
-    ) -> Self {
-        match strategy {
-            BuildStrategy::BruteForce => Self::build_reference_with(nets, exec),
-            BuildStrategy::Grid => Self::build_grid(nets, None),
-            BuildStrategy::Sweep => {
-                let segs = collect_segments(nets);
-                Self::build_sweep(nets, &segs)
-            }
-            BuildStrategy::Auto => {
-                let segs = collect_segments(nets);
-                if pick_sweep(&segs) {
-                    Self::build_sweep(nets, &segs)
-                } else {
-                    Self::build_grid_from_segs(nets, None, segs)
-                }
-            }
-        }
-    }
-
-    /// Provenance of the build that produced this index.
-    #[inline]
-    pub fn build_info(&self) -> BuildInfo {
-        self.info
-    }
-
-    /// Grid build (auto-sized cells unless `dims` is given; the explicit
-    /// dims are the escape hatch the equivalence proptests use).
-    fn build_grid(nets: &[NetCandidates], dims: Option<(usize, usize)>) -> Self {
-        let segs = collect_segments(nets);
-        Self::build_grid_from_segs(nets, dims, segs)
-    }
-
-    fn build_grid_from_segs(
-        nets: &[NetCandidates],
-        dims: Option<(usize, usize)>,
-        segs: Vec<SegRef>,
-    ) -> Self {
-        if segs.len() < 2 {
-            return Self::default();
-        }
-        let mut hits = grid_hits(&segs, dims);
-        hits.sort_unstable();
-        hits.dedup();
-        Self::from_hits(
-            nets,
-            &hits,
-            BuildInfo {
-                strategy: ChosenBuild::Grid,
-                parallel: false,
-            },
-        )
-    }
-
-    /// Sweep-line build: one global Bentley–Ottmann pass over every
-    /// candidate segment, then the same assembly as the other builders.
-    fn build_sweep(nets: &[NetCandidates], segs: &[SegRef]) -> Self {
-        if segs.len() < 2 {
-            return Self::default();
-        }
-        let mut hits = sweep_hits(segs);
-        hits.sort_unstable();
-        hits.dedup();
+    /// [`build`](Self::build) as the flow stages call it: one global
+    /// sweep over every candidate segment (see the module docs), then the
+    /// shared assembly. The sweep is sequential, so the output is the
+    /// same for every executor; the flow's parallelism lives around this
+    /// stage and in the tile-sharded build.
+    pub fn build_with(nets: &[NetCandidates], _exec: &Executor) -> Self {
+        let mut hits = discover_hits(nets, None);
+        sort_hits(&mut hits);
         Self::from_hits(
             nets,
             &hits,
@@ -281,10 +190,16 @@ impl CrossingIndex {
         )
     }
 
-    /// The pre-grid all-pairs build: scans every net pair with a
-    /// bounding-box prefilter, then every candidate pair with overlapping
-    /// optical boxes. Retained as the equivalence oracle — the grid and
-    /// sweep builds must produce a byte-identical index.
+    /// Provenance of the build that produced this index.
+    #[inline]
+    pub fn build_info(&self) -> BuildInfo {
+        self.info
+    }
+
+    /// The all-pairs build: scans every net pair with a bounding-box
+    /// prefilter, then every candidate pair with overlapping optical
+    /// boxes. Retained as the equivalence oracle — the sweep build, delta
+    /// patches and sharded builds must produce a byte-identical index.
     pub fn build_reference(nets: &[NetCandidates]) -> Self {
         Self::build_reference_with(nets, &Executor::sequential())
     }
@@ -379,22 +294,12 @@ impl CrossingIndex {
                 involved[i] = true;
             }
         }
-        let segs = collect_involved_segments(nets, &involved);
-        let mut hits = if segs
-            .iter()
-            .all(|sr| in_sweep_range(sr.s.a) && in_sweep_range(sr.s.b))
-        {
-            sweep_hits(&segs)
-        } else {
-            // Out-of-range coordinates (beyond the sweep's exactness
-            // bound) fall back to brute pair tests over the same set.
-            brute_hits(&segs)
-        };
+        let mut hits = discover_hits(nets, Some(&involved));
         hits.retain(|&(key, _)| {
-            is_changed[(key >> 96) as usize] || is_changed[(key >> 32) as u32 as usize]
+            let (a, b) = hit_nets(key);
+            is_changed[a] || is_changed[b]
         });
-        hits.sort_unstable();
-        hits.dedup();
+        sort_hits(&mut hits);
 
         let mut runs = assemble_runs(nets, &hits);
         list.append(&mut runs);
@@ -407,10 +312,10 @@ impl CrossingIndex {
         )
     }
 
-    /// Assembles the arena from deduplicated, globally sorted packed
-    /// crossing hits. `pub(crate)` so the tile-sharded build
+    /// Assembles the arena from unique, globally sorted packed crossing
+    /// hits. `pub(crate)` so the tile-sharded build
     /// ([`crate::shard`]) can funnel its ordered merge through the same
-    /// canonical assembly as every other builder.
+    /// canonical assembly as the monolithic build.
     pub(crate) fn from_hits(nets: &[NetCandidates], hits: &[Hit], info: BuildInfo) -> Self {
         Self::from_pair_list(assemble_runs(nets, hits), info)
     }
@@ -422,7 +327,7 @@ impl CrossingIndex {
     /// arena is built — the peak-memory edge over the monolithic path,
     /// which must keep its hit buffer alive through this call.
     pub(crate) fn from_pair_list(mut list: Vec<(PairKey, PairCross)>, info: BuildInfo) -> Self {
-        // Keys are unique, so an unstable sort is exact; spatial builds
+        // Keys are unique, so an unstable sort is exact; sweep and sharded builds
         // hand the list over already sorted and pay only the scan.
         list.sort_unstable_by_key(|x| x.0);
         let n = list.len();
@@ -581,11 +486,11 @@ impl CrossingIndex {
     }
 }
 
-/// A spatial-build crossing tuple in packed form: the candidate-pair
+/// A discovered crossing in packed form: the candidate-pair
 /// key folded into a `u128` whose integer order equals [`PairKey`]
 /// order (all handles are `u32`), and the crossing segment indexes
-/// folded into a `u64`. Sorting and deduplicating millions of these is
-/// a fraction of the cost of the 40-byte tuple they replace.
+/// folded into a `u64`. Sorting millions of these is a fraction of the
+/// cost of the 40-byte tuple they replace.
 pub(crate) type Hit = (u128, u64);
 
 #[inline]
@@ -628,32 +533,12 @@ fn unpack_owner(packed: u128) -> (usize, usize) {
 }
 
 /// Flattens every non-degenerate optical segment in (net, cand, seg)
-/// order; degenerate segments can never properly cross anything.
-fn collect_segments(nets: &[NetCandidates]) -> Vec<SegRef> {
+/// order, over the nets flagged in `involved` (every net when `None`);
+/// degenerate segments can never properly cross anything.
+fn collect_segments(nets: &[NetCandidates], involved: Option<&[bool]>) -> Vec<SegRef> {
     let mut segs: Vec<SegRef> = Vec::new();
     for (i, nc) in nets.iter().enumerate() {
-        for (j, c) in nc.candidates.iter().enumerate() {
-            for (k, s) in c.optical_segments.iter().enumerate() {
-                if s.is_degenerate() {
-                    continue;
-                }
-                segs.push(SegRef {
-                    net: i as u32,
-                    cand: j as u32,
-                    seg: k as u32,
-                    s: *s,
-                });
-            }
-        }
-    }
-    segs
-}
-
-/// [`collect_segments`] restricted to nets flagged in `involved`.
-fn collect_involved_segments(nets: &[NetCandidates], involved: &[bool]) -> Vec<SegRef> {
-    let mut segs: Vec<SegRef> = Vec::new();
-    for (i, nc) in nets.iter().enumerate() {
-        if !involved[i] {
+        if involved.is_some_and(|inv| !inv[i]) {
             continue;
         }
         for (j, c) in nc.candidates.iter().enumerate() {
@@ -677,28 +562,32 @@ fn in_sweep_range(p: operon_geom::Point) -> bool {
     p.x.abs() < SWEEP_COORD_LIMIT && p.y.abs() < SWEEP_COORD_LIMIT
 }
 
-/// The documented strategy heuristic: decile dispersion of Manhattan
-/// segment lengths. `p90 ≥ 4 · p10` means the length distribution has
-/// both short and long tails — short segments demand fine grid cells,
-/// long ones then smear across many of them, so the output-sensitive
-/// sweep wins. Pure integer math over the candidate set: deterministic.
-fn pick_sweep(segs: &[SegRef]) -> bool {
-    if segs.len() < 2 {
-        return false;
-    }
-    if !segs
+/// The one production crossing discovery: packed hits between distinct
+/// nets among those flagged in `involved` (every net when `None`). Runs
+/// the Bentley–Ottmann sweep, or tests every segment pair once when a
+/// coordinate lies beyond the sweep's exactness bound. Either way each
+/// crossing segment pair is reported exactly once, so the output is
+/// unique but unsorted; callers filter, then [`sort_hits`].
+pub(crate) fn discover_hits(nets: &[NetCandidates], involved: Option<&[bool]>) -> Vec<Hit> {
+    let segs = collect_segments(nets, involved);
+    if segs
         .iter()
         .all(|sr| in_sweep_range(sr.s.a) && in_sweep_range(sr.s.b))
     {
-        // Beyond the sweep's exact-arithmetic bound: the grid handles
-        // arbitrary i64 coordinates.
-        return false;
+        sweep_hits(&segs)
+    } else {
+        brute_hits(&segs)
     }
-    let mut lens: Vec<i64> = segs.iter().map(|sr| sr.s.manhattan_length()).collect();
-    lens.sort_unstable();
-    let p10 = lens[lens.len() / 10];
-    let p90 = lens[(9 * lens.len()) / 10];
-    p90 >= 4 * p10.max(1)
+}
+
+/// Sorts discovered hits into [`PairKey`] order. Discovery never reports
+/// a segment pair twice, so no dedup pass is needed; debug builds check.
+pub(crate) fn sort_hits(hits: &mut [Hit]) {
+    hits.sort_unstable();
+    debug_assert!(
+        hits.windows(2).all(|w| w[0] != w[1]),
+        "crossing discovery reported a segment pair twice"
+    );
 }
 
 /// Runs the sweep over the flattened segments and maps segment-id pairs
@@ -719,67 +608,8 @@ fn sweep_hits(segs: &[SegRef]) -> Vec<Hit> {
     hits
 }
 
-/// Grid-bucketed packed hits over the flattened segments: the body of
-/// the grid build, shared with [`subset_hits`]. Returns the raw
-/// (unsorted, possibly duplicated) hits.
-fn grid_hits(segs: &[SegRef], dims: Option<(usize, usize)>) -> Vec<Hit> {
-    let mut hits: Vec<Hit> = Vec::new();
-    if segs.len() < 2 {
-        return hits;
-    }
-    let mut extent = BoundingBox::new(segs[0].s.a, segs[0].s.b);
-    for sr in &segs[1..] {
-        extent = extent.union(&BoundingBox::new(sr.s.a, sr.s.b));
-    }
-
-    let mut grid = match dims {
-        Some((cols, rows)) => SegmentGrid::new(extent, cols, rows),
-        None => SegmentGrid::sized(extent, segs.len()),
-    };
-    for (id, sr) in segs.iter().enumerate() {
-        grid.insert(id as u32, sr.s);
-    }
-
-    // Every properly-crossing segment pair co-occupies the cell of its
-    // crossing point, so testing within cells finds all of them; a pair
-    // sharing several cells is found several times and deduplicated by
-    // the caller's sort.
-    for cell in grid.nonempty_cells() {
-        let ids = grid.cell_items(cell);
-        for (x, &ia) in ids.iter().enumerate() {
-            let a = &segs[ia as usize];
-            for &ib in &ids[x + 1..] {
-                let b = &segs[ib as usize];
-                if a.net == b.net || !a.s.crosses(&b.s) {
-                    continue;
-                }
-                let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-                hits.push(pack_hit(p, q));
-            }
-        }
-    }
-    hits
-}
-
-/// Packed hits among the nets flagged in `involved`, using the same
-/// strategy heuristic as [`CrossingIndex::build_with`] on the subset's
-/// segments. Raw output — unsorted and possibly duplicated; the caller
-/// owns the sort + dedup (the tile-sharded build filters, merges, and
-/// deduplicates tile outputs before assembly).
-pub(crate) fn subset_hits(nets: &[NetCandidates], involved: &[bool]) -> Vec<Hit> {
-    let segs = collect_involved_segments(nets, involved);
-    if segs.len() < 2 {
-        return Vec::new();
-    }
-    if pick_sweep(&segs) {
-        sweep_hits(&segs)
-    } else {
-        grid_hits(&segs, None)
-    }
-}
-
-/// All-pairs packed hits over the flattened segments (the delta
-/// fallback for coordinates beyond the sweep's exactness bound).
+/// All-pairs packed hits over the flattened segments (the fallback for
+/// coordinates beyond the sweep's exactness bound).
 fn brute_hits(segs: &[SegRef]) -> Vec<Hit> {
     let mut hits: Vec<Hit> = Vec::new();
     for (x, a) in segs.iter().enumerate() {
@@ -816,10 +646,10 @@ fn assemble_runs(nets: &[NetCandidates], hits: &[Hit]) -> Vec<(PairKey, PairCros
     out
 }
 
-/// Assembles crossing records from several sorted, deduplicated,
+/// Assembles crossing records from several sorted, unique,
 /// **key-disjoint** hit runs via a k-way merge — the tile-sharded
-/// build's funnel. Equivalent to concatenating the runs, sorting,
-/// deduplicating, and calling [`assemble_runs`], but without ever
+/// build's funnel. Equivalent to concatenating the runs, sorting, and
+/// calling [`assemble_runs`], but without ever
 /// materializing the merged hit buffer: the peak is one record list
 /// instead of two hit copies.
 ///
@@ -967,8 +797,8 @@ impl AssembleScratch {
         }
     }
 
-    /// Builds one pair record from the deduplicated packed hits a
-    /// spatial build found for `key`.
+    /// Builds one pair record from the packed hits discovery found for
+    /// `key`.
     fn assemble_pair(&mut self, nets: &[NetCandidates], key: PairKey, hits: &[Hit]) -> PairCross {
         let (na, ca, nb, cb) = key;
         PairCross {
@@ -1247,26 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_build_matches_reference_on_spanning_diagonals() {
-        // 24 die-spanning diagonals: the worst case for any bbox-based
-        // pruning (every bbox overlaps every other) and the fixture that
-        // forces the grid rasterizer to stay sparse.
-        let nets: Vec<NetCandidates> = (0..24)
-            .map(|k| {
-                let y0 = (k as i64) * 700;
-                optical_net(k, Point::new(0, y0), Point::new(20_000, 18_000 - y0))
-            })
-            .collect();
-        let reference = CrossingIndex::build_reference(&nets);
-        assert!(!reference.is_empty());
-        for threads in [1, 2, 4, 8] {
-            let exec = Executor::new(threads);
-            let grid = CrossingIndex::build_with_strategy(&nets, &exec, BuildStrategy::Grid);
-            assert_index_eq(&grid, &reference, &format!("threads={threads}"));
-        }
-    }
-
-    #[test]
     fn sweep_build_matches_reference_on_spanning_diagonals() {
         let nets: Vec<NetCandidates> = (0..24)
             .map(|k| {
@@ -1276,11 +1086,7 @@ mod tests {
             .collect();
         let reference = CrossingIndex::build_reference(&nets);
         assert!(!reference.is_empty());
-        let sweep = CrossingIndex::build_with_strategy(
-            &nets,
-            &Executor::sequential(),
-            BuildStrategy::Sweep,
-        );
+        let sweep = CrossingIndex::build(&nets);
         assert_index_eq(&sweep, &reference, "sweep vs reference");
         assert_eq!(sweep.build_info().strategy, ChosenBuild::Sweep);
         assert!(!sweep.build_info().parallel);
@@ -1301,30 +1107,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn auto_strategy_picks_sweep_on_dispersed_lengths() {
-        // A few die-spanning trunks over a field of short stubs: decile
-        // dispersion far beyond 4x, so Auto must choose the sweep.
-        let mut nets: Vec<NetCandidates> = (0..12)
-            .map(|k| {
-                let x = 10 + (k as i64) * 40;
-                optical_net(k, Point::new(x, 0), Point::new(x + 8, 9))
-            })
-            .collect();
-        for t in 0..3 {
-            nets.push(optical_net(
-                12 + t,
-                Point::new(0, 2 + t as i64),
-                Point::new(1000, 7 - t as i64),
-            ));
-        }
-        let idx = CrossingIndex::build(&nets);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Sweep);
-        assert_index_eq(&idx, &CrossingIndex::build_reference(&nets), "auto sweep");
-    }
-
-    /// The dispersed-length mix of `auto_strategy_picks_sweep_on_dispersed_lengths`,
-    /// translated so every coordinate sits near `offset`.
+    /// Three long trunks over a field of twelve short stubs (segment
+    /// lengths spread over two orders of magnitude), translated so every
+    /// coordinate sits near `offset`.
     fn dispersed_nets_at(offset: i64) -> Vec<NetCandidates> {
         let mut nets: Vec<NetCandidates> = (0..12)
             .map(|k| {
@@ -1343,29 +1128,48 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_falls_back_to_grid_beyond_the_sweep_coord_limit() {
-        // The same length dispersion that picks the sweep at die scale,
-        // but translated past the sweep's exact-arithmetic bound: Auto
-        // must fall back to the grid (which handles arbitrary i64
-        // coordinates) instead of tripping the sweep's range assert —
-        // and still match the brute-force reference exactly.
-        let nets = dispersed_nets_at(SWEEP_COORD_LIMIT);
-        for threads in [1, 8] {
+    fn every_build_path_matches_reference_beyond_the_sweep_coord_limit() {
+        // Translated past the sweep's exact-arithmetic bound, the full
+        // build, a delta patch and the tile-sharded build must all take
+        // the all-pairs fallback instead of tripping the sweep's range
+        // assert, and still match the brute-force reference exactly.
+        let mut nets = dispersed_nets_at(SWEEP_COORD_LIMIT);
+        let reference = CrossingIndex::build_reference(&nets);
+        assert!(!reference.is_empty());
+        for threads in [1, 2, 8] {
             let idx = CrossingIndex::build_with(&nets, &Executor::new(threads));
-            assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
-            assert_index_eq(
-                &idx,
-                &CrossingIndex::build_reference(&nets),
-                "grid fallback beyond 2^40",
-            );
+            assert_index_eq(&idx, &reference, &format!("full, threads={threads}"));
+        }
+
+        // Re-route one stub across all three trunks and drop another.
+        let o = SWEEP_COORD_LIMIT;
+        let before = CrossingIndex::build(&nets);
+        nets[4] = optical_net(4, Point::new(o + 500, o - 10), Point::new(o + 520, o + 20));
+        nets[9] = optical_net(9, Point::new(o + 5000, o), Point::new(o + 5010, o + 9));
+        let reference = CrossingIndex::build_reference(&nets);
+        let delta = before.rebuild_delta(&nets, &[4, 9]);
+        assert_index_eq(&delta, &reference, "delta");
+        assert!(delta.pair(4, 0, 12, 0).is_some());
+
+        let die = BoundingBox::new(Point::new(o, o - 10), Point::new(o + 5010, o + 20));
+        for (cols, rows) in [(1, 1), (2, 2), (4, 4)] {
+            let grid = crate::shard::TileGrid::new(die, cols, rows);
+            for threads in [1, 2, 8] {
+                let sharded = crate::shard::build_sharded(&nets, &grid, &Executor::new(threads));
+                assert_index_eq(
+                    &sharded,
+                    &reference,
+                    &format!("sharded {cols}x{rows}, threads={threads}"),
+                );
+            }
         }
     }
 
     #[test]
     fn sweep_stays_selected_and_exact_just_below_the_coord_limit() {
-        // Every coordinate within the bound (if only just): the
-        // dispersion heuristic keeps the sweep, whose rationals must
-        // stay exact at these magnitudes.
+        // Every coordinate within the bound (if only just): the build
+        // stays on the sweep, whose rationals must stay exact at these
+        // magnitudes.
         let nets = dispersed_nets_at(SWEEP_COORD_LIMIT - 2_000);
         let idx = CrossingIndex::build(&nets);
         assert_eq!(idx.build_info().strategy, ChosenBuild::Sweep);
@@ -1374,18 +1178,6 @@ mod tests {
             &CrossingIndex::build_reference(&nets),
             "sweep just below 2^40",
         );
-    }
-
-    #[test]
-    fn auto_strategy_picks_grid_on_uniform_lengths() {
-        let nets: Vec<NetCandidates> = (0..8)
-            .map(|k| {
-                let y0 = (k as i64) * 90;
-                optical_net(k, Point::new(0, y0), Point::new(1000, 900 - y0))
-            })
-            .collect();
-        let idx = CrossingIndex::build(&nets);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Grid);
     }
 
     #[test]
@@ -1440,33 +1232,6 @@ mod tests {
     }
 
     proptest! {
-        /// The tentpole equivalence contract: for random multi-candidate,
-        /// multi-segment nets — including collinear, shared-endpoint, and
-        /// zero-length segments from the cramped coordinate range — every
-        /// build strategy equals the brute-force reference byte for byte,
-        /// for every cell size and thread count.
-        #[test]
-        fn grid_build_equals_reference_on_random_candidate_sets(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(
-                    proptest::collection::vec((0i64..64, 0i64..64), 2..5),
-                    1..3,
-                ),
-                2..7,
-            ),
-            cols in 1usize..20,
-            rows in 1usize..20,
-        ) {
-            let nets = random_nets(&raw);
-            let reference = CrossingIndex::build_reference(&nets);
-            for threads in [1usize, 2, 8] {
-                let auto = CrossingIndex::build_with(&nets, &Executor::new(threads));
-                assert_index_eq(&auto, &reference, &format!("auto, threads={threads}"));
-            }
-            let sized = CrossingIndex::build_grid(&nets, Some((cols, rows)));
-            assert_index_eq(&sized, &reference, &format!("{cols}x{rows} grid"));
-        }
-
         /// Sweep-specific equivalence pin: the cramped 0..24 range packs
         /// the segments with collinear overlaps, shared endpoints, and
         /// verticals — the sweep's event-bundling edge cases — and the
@@ -1484,12 +1249,7 @@ mod tests {
             let nets = random_nets(&raw);
             let reference = CrossingIndex::build_reference(&nets);
             for threads in [1usize, 2, 8] {
-                let exec = Executor::new(threads);
-                let sweep = CrossingIndex::build_with_strategy(
-                    &nets,
-                    &exec,
-                    BuildStrategy::Sweep,
-                );
+                let sweep = CrossingIndex::build_with(&nets, &Executor::new(threads));
                 assert_index_eq(&sweep, &reference, &format!("sweep, threads={threads}"));
             }
         }

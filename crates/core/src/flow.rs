@@ -755,15 +755,14 @@ pub(crate) fn record_lr_stats(stage: &mut operon_exec::StageScope<'_>, sel: &Sel
 }
 
 /// Surfaces the crossing build's provenance into its stage record: which
-/// strategy ran (`crossing_build_{brute,grid,sweep,delta} = 1`), whether
-/// the pair tests used the executor's workers (only the brute-force
-/// oracle does), and the pair count. All three are pure functions of the
+/// builder ran (`crossing_build_{brute,sweep,delta,sharded} = 1`), whether
+/// the pair tests used the executor's workers (the brute-force oracle and
+/// multi-pass sharded builds do), and the pair count. All three are pure functions of the
 /// candidate set, so run reports stay thread-count invariant.
 pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx: &CrossingIndex) {
     let info = idx.build_info();
     let counter = match info.strategy {
         crate::crossing::ChosenBuild::BruteForce => "crossing_build_brute",
-        crate::crossing::ChosenBuild::Grid => "crossing_build_grid",
         crate::crossing::ChosenBuild::Sweep => "crossing_build_sweep",
         crate::crossing::ChosenBuild::Delta => "crossing_build_delta",
         crate::crossing::ChosenBuild::Sharded => "crossing_build_sharded",

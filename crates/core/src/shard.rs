@@ -1,7 +1,7 @@
 //! Tile-sharded hierarchical crossing build and tile scheduling.
 //!
 //! Die-scale designs (100k+ bits) make the monolithic flow's working set
-//! the bottleneck: one global segment grid, one global hit buffer, one
+//! the bottleneck: one global segment sweep, one global hit buffer, one
 //! global pricing sweep. This module shards the die on a **fixed
 //! deterministic tile grid** and runs the crossing discovery per tile,
 //! concurrently, then stitches the per-tile results back together with
@@ -28,9 +28,10 @@
 //! * boundary × boundary — covered by the dedicated boundary pass.
 //!
 //! The per-pass hit lists are therefore key-disjoint and jointly
-//! complete. Each pass funnels through the same packed-hit discovery as
-//! the monolithic build ([`crate::crossing`]'s `subset_hits`), the merged
-//! list goes through the same global sort + dedup + assembly, and the
+//! complete. Each pass runs the same packed-hit discovery as the
+//! monolithic build (`crate::crossing`'s `discover_hits`: the sweep,
+//! restricted to the pass's involved nets), the merged list goes through
+//! the same global sort + assembly, and the
 //! result equals [`CrossingIndex::build_with`] byte for byte — pinned by
 //! proptests across tile dims and thread counts.
 //!
@@ -45,7 +46,8 @@
 
 use crate::codesign::NetCandidates;
 use crate::crossing::{
-    assemble_sorted_runs, hit_nets, net_bboxes, subset_hits, BuildInfo, ChosenBuild, Hit,
+    assemble_sorted_runs, discover_hits, hit_nets, net_bboxes, sort_hits, BuildInfo, ChosenBuild,
+    Hit,
 };
 use crate::CrossingIndex;
 use operon_exec::Executor;
@@ -264,7 +266,7 @@ pub(crate) fn tile_involved(
     ids
 }
 
-/// Tile `t`'s sorted deduplicated hit list: discovery over the involved
+/// Tile `t`'s sorted hit list: discovery over the involved
 /// set, retained to hits with at least one interior-`t` net (boundary ×
 /// boundary pairs the local discovery also saw belong to the boundary
 /// pass). Internally sequential — the pass level fans out instead.
@@ -278,26 +280,24 @@ fn tile_pass(
     for &i in involved_ids {
         involved[i as usize] = true;
     }
-    let mut hits = subset_hits(nets, &involved);
+    let mut hits = discover_hits(nets, Some(&involved));
     let t = t as u32;
     hits.retain(|&(key, _)| {
         let (a, b) = hit_nets(key);
         part.tile_of[a] == TileClass::Interior(t) || part.tile_of[b] == TileClass::Interior(t)
     });
-    hits.sort_unstable();
-    hits.dedup();
+    sort_hits(&mut hits);
     hits
 }
 
-/// The boundary pass: sorted deduplicated hits among the boundary nets.
+/// The boundary pass: sorted hits among the boundary nets.
 fn boundary_pass(nets: &[NetCandidates], part: &ShardPartition) -> Vec<Hit> {
     let mut involved = vec![false; nets.len()];
     for &b in &part.boundary {
         involved[b as usize] = true;
     }
-    let mut hits = subset_hits(nets, &involved);
-    hits.sort_unstable();
-    hits.dedup();
+    let mut hits = discover_hits(nets, Some(&involved));
+    sort_hits(&mut hits);
     hits
 }
 
@@ -313,9 +313,9 @@ pub(crate) struct ShardCache {
     /// Ascending involved net ids per tile (empty when the tile has no
     /// interior net — such a tile can retain no hit).
     pub(crate) involved: Vec<Vec<u32>>,
-    /// Sorted deduplicated retained hits per tile.
+    /// Sorted retained hits per tile.
     pub(crate) tile_hits: Vec<Vec<Hit>>,
-    /// Sorted deduplicated hits among the boundary nets.
+    /// Sorted hits among the boundary nets.
     pub(crate) boundary_hits: Vec<Hit>,
 }
 
@@ -334,7 +334,7 @@ impl ShardCache {
     }
 
     /// The per-pass hit lists in tile order, boundary last — sorted,
-    /// deduplicated, and key-disjoint (the module docs' decomposition).
+    /// unique, and key-disjoint (the module docs' decomposition).
     fn runs(&self) -> Vec<&[Hit]> {
         self.tile_hits
             .iter()
@@ -345,7 +345,7 @@ impl ShardCache {
 
     /// Merges the per-pass hit lists and assembles the index through the
     /// canonical record funnel — equivalent to a global concat + sort +
-    /// dedup + assembly, without materializing the merged hit buffer.
+    /// assembly, without materializing the merged hit buffer.
     /// Keeps the cache resident (the warm-session path).
     pub(crate) fn assemble(&self, nets: &[NetCandidates]) -> CrossingIndex {
         let list = assemble_sorted_runs(nets, &self.runs());

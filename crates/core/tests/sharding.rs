@@ -4,7 +4,7 @@
 //!
 //! The sharded flow re-schedules three things — candidate generation
 //! order, crossing discovery (per-tile passes + boundary reconciliation
-//! merged through the canonical sort/dedup funnel), and the LR pricing
+//! merged through the canonical sort funnel), and the LR pricing
 //! map order — none of which may change a single output byte. These
 //! tests pin that contract on synthesized fixtures and on random bus
 //! soups whose geometry exercises interior, boundary, and excluded nets

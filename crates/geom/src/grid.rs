@@ -1,13 +1,9 @@
-//! Uniform spatial grids.
+//! Uniform spatial grids of `f64` accumulators.
 //!
-//! Used in two roles:
-//!
-//! 1. **Power maps** (paper Fig. 9): each cell accumulates the power
-//!    dissipated by the wires and converters it covers.
-//! 2. **Crossing-count acceleration**: candidate segment pairs are pruned
-//!    to those whose bounding boxes touch common cells.
+//! Used for **power maps** (paper Fig. 9): each cell accumulates the
+//! power dissipated by the wires and converters it covers.
 
-use crate::{BoundingBox, Point, Segment};
+use crate::{BoundingBox, Point};
 use core::fmt;
 
 /// Index of a cell in a [`Grid`].
@@ -212,219 +208,6 @@ impl fmt::Display for Grid {
     }
 }
 
-/// A deterministic uniform grid that buckets line segments by the cells
-/// they traverse.
-///
-/// Built for crossing-count acceleration: two segments can only cross
-/// where they geometrically overlap, so any properly-crossing pair shares
-/// at least one cell (the cell containing the crossing point — see the
-/// coverage invariant below). Candidate-pair generation then only has to
-/// look inside cells instead of at all `O(N²)` pairs.
-///
-/// **Coverage invariant:** for every point `p` on an inserted segment
-/// with `p` inside the extent, the cell containing `p` is among the cells
-/// the segment was bucketed into. Rasterization walks the row bands the
-/// segment traverses and, per band, marks the exact column range spanned
-/// by the segment inside that band (computed with exact integer
-/// rationals — `x(y)` is monotone in `y` along a straight segment). A
-/// die-spanning diagonal therefore occupies `O(rows + cols)` cells, not
-/// every cell of its bounding box.
-///
-/// Everything about the structure is deterministic: cell geometry is
-/// integer arithmetic on dbu coordinates, and each cell lists item ids in
-/// insertion order.
-///
-/// # Examples
-///
-/// ```
-/// use operon_geom::{BoundingBox, Point, Segment, SegmentGrid};
-///
-/// let extent = BoundingBox::new(Point::new(0, 0), Point::new(100, 100));
-/// let mut g = SegmentGrid::new(extent, 4, 4);
-/// g.insert(0, Segment::new(Point::new(0, 0), Point::new(100, 100)));
-/// g.insert(1, Segment::new(Point::new(0, 100), Point::new(100, 0)));
-/// // The diagonals cross at (50, 50); some cell holds both.
-/// assert!(g
-///     .nonempty_cells()
-///     .iter()
-///     .any(|&c| g.cell_items(c) == [0, 1]));
-/// ```
-#[derive(Clone, Debug)]
-pub struct SegmentGrid {
-    extent: BoundingBox,
-    cols: usize,
-    rows: usize,
-    cell_w: i64,
-    cell_h: i64,
-    cells: Vec<Vec<u32>>,
-}
-
-impl SegmentGrid {
-    /// Creates an empty grid with `cols × rows` cells over `extent`.
-    ///
-    /// Unlike [`Grid::new`], degenerate extents (zero width or height —
-    /// all segments on one line) are allowed; the cell size is always at
-    /// least one dbu.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cols` or `rows` is zero.
-    pub fn new(extent: BoundingBox, cols: usize, rows: usize) -> Self {
-        assert!(cols > 0 && rows > 0, "grid must have at least one cell");
-        // `+ 1` guarantees `cols * cell_w > width`, so every in-extent
-        // x maps to a column strictly below `cols` (same for rows).
-        let cell_w = extent.width() / cols as i64 + 1;
-        let cell_h = extent.height() / rows as i64 + 1;
-        Self {
-            extent,
-            cols,
-            rows,
-            cell_w,
-            cell_h,
-            cells: vec![Vec::new(); cols * rows],
-        }
-    }
-
-    /// Creates a grid sized for roughly `items` segments: a square layout
-    /// with about one cell per item, capped at 512 cells per side.
-    pub fn sized(extent: BoundingBox, items: usize) -> Self {
-        let side = ((items as f64).sqrt().ceil() as usize).clamp(1, 512);
-        Self::new(extent, side, side)
-    }
-
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// The region covered by the grid.
-    #[inline]
-    pub fn extent(&self) -> BoundingBox {
-        self.extent
-    }
-
-    /// Item ids stored in cell `cell` (row-major index), in insertion
-    /// order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell >= cols * rows`.
-    #[inline]
-    pub fn cell_items(&self, cell: usize) -> &[u32] {
-        &self.cells[cell]
-    }
-
-    /// Row-major indices of all cells holding at least one item,
-    /// ascending.
-    pub fn nonempty_cells(&self) -> Vec<usize> {
-        (0..self.cells.len())
-            .filter(|&c| !self.cells[c].is_empty())
-            .collect()
-    }
-
-    /// The largest number of items in any single cell (the grid's load
-    /// factor hotspot — if this approaches the total item count the grid
-    /// has degenerated to brute force).
-    pub fn max_cell_load(&self) -> usize {
-        self.cells.iter().map(Vec::len).max().unwrap_or(0)
-    }
-
-    fn col_of(&self, x: i64) -> usize {
-        let off = (x - self.extent.lo().x).max(0);
-        ((off / self.cell_w) as usize).min(self.cols - 1)
-    }
-
-    fn row_of(&self, y: i64) -> usize {
-        let off = (y - self.extent.lo().y).max(0);
-        ((off / self.cell_h) as usize).min(self.rows - 1)
-    }
-
-    /// Column of the exact rational x-coordinate `num / den` (`den > 0`).
-    fn col_of_rational(&self, num: i128, den: i128) -> usize {
-        let off = num - i128::from(self.extent.lo().x) * den;
-        if off <= 0 {
-            return 0;
-        }
-        let col = div_floor(off, den * i128::from(self.cell_w));
-        (col as usize).min(self.cols - 1)
-    }
-
-    /// Buckets `seg` into every cell it traverses inside the extent.
-    ///
-    /// The coverage invariant holds for the portion of the segment lying
-    /// inside the extent; parts outside are clamped to boundary cells
-    /// without any coverage guarantee, so build the grid over an extent
-    /// that contains every inserted segment.
-    pub fn insert(&mut self, id: u32, seg: Segment) {
-        let lo = self.extent.lo();
-        let (ylo, yhi) = if seg.a.y <= seg.b.y {
-            (seg.a.y, seg.b.y)
-        } else {
-            (seg.b.y, seg.a.y)
-        };
-        let r0 = self.row_of(ylo);
-        let r1 = self.row_of(yhi);
-        if seg.a.y == seg.b.y {
-            // Horizontal or degenerate: one row band, a contiguous column
-            // range.
-            let c0 = self.col_of(seg.a.x.min(seg.b.x));
-            let c1 = self.col_of(seg.a.x.max(seg.b.x));
-            for c in c0..=c1 {
-                self.cells[r0 * self.cols + c].push(id);
-            }
-            return;
-        }
-        // x(y) = ax + (y − ay)·dx/dy, exact in i128; monotone in y, so
-        // inside any row band the covered columns are exactly those
-        // between the columns at the band's two boundary ordinates.
-        let dx = i128::from(seg.b.x - seg.a.x);
-        let dy = i128::from(seg.b.y - seg.a.y);
-        let x_at = |y: i64| -> (i128, i128) {
-            let num = i128::from(seg.a.x) * dy + i128::from(y - seg.a.y) * dx;
-            if dy < 0 {
-                (-num, -dy)
-            } else {
-                (num, dy)
-            }
-        };
-        let span = self.rows as i64 * self.cell_h;
-        let ylo_c = ylo.clamp(lo.y, lo.y + span);
-        let yhi_c = yhi.clamp(lo.y, lo.y + span);
-        for r in r0..=r1 {
-            let band_lo = ylo_c.max(lo.y + r as i64 * self.cell_h);
-            let band_hi = yhi_c.min(lo.y + (r as i64 + 1) * self.cell_h);
-            if band_lo > band_hi {
-                continue;
-            }
-            let (n1, d1) = x_at(band_lo);
-            let (n2, d2) = x_at(band_hi);
-            let ca = self.col_of_rational(n1, d1);
-            let cb = self.col_of_rational(n2, d2);
-            let (c0, c1) = if ca <= cb { (ca, cb) } else { (cb, ca) };
-            for c in c0..=c1 {
-                self.cells[r * self.cols + c].push(id);
-            }
-        }
-    }
-}
-
-/// Floor division for `i128` with a positive divisor.
-fn div_floor(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if a % b != 0 && a < 0 {
-        q - 1
-    } else {
-        q
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,92 +311,6 @@ mod tests {
         let s = g.to_string();
         assert_eq!(s.lines().count(), 5);
         assert!(s.lines().all(|l| l.chars().count() == 3));
-    }
-
-    #[test]
-    fn segment_grid_horizontal_covers_all_columns_in_one_row() {
-        let mut g = SegmentGrid::new(die(), 10, 10);
-        g.insert(7, Segment::new(Point::new(0, 55), Point::new(100, 55)));
-        let cells = g.nonempty_cells();
-        assert_eq!(cells.len(), 10, "one full row of columns");
-        let row = g.row_of(55);
-        assert!(cells.iter().all(|&c| c / 10 == row));
-        assert!(cells.iter().all(|&c| g.cell_items(c) == [7]));
-    }
-
-    #[test]
-    fn segment_grid_diagonal_is_sparse_not_bbox_dense() {
-        // A die-spanning diagonal must occupy O(rows + cols) cells, not
-        // the full bounding box (which here is every cell of the grid).
-        let mut g = SegmentGrid::new(die(), 16, 16);
-        g.insert(0, Segment::new(Point::new(0, 0), Point::new(100, 100)));
-        let n = g.nonempty_cells().len();
-        assert!(n >= 16, "diagonal traverses every row: {n}");
-        assert!(n <= 3 * 16, "diagonal must not fill its bbox: {n}");
-    }
-
-    #[test]
-    fn segment_grid_degenerate_extent_is_usable() {
-        // All segments collinear on x = 5: zero-width extent.
-        let extent = BoundingBox::new(Point::new(5, 0), Point::new(5, 100));
-        let mut g = SegmentGrid::new(extent, 4, 4);
-        g.insert(0, Segment::new(Point::new(5, 0), Point::new(5, 100)));
-        assert_eq!(g.max_cell_load(), 1);
-        assert!(!g.nonempty_cells().is_empty());
-    }
-
-    #[test]
-    fn segment_grid_insertion_order_is_preserved_per_cell() {
-        let mut g = SegmentGrid::new(die(), 2, 2);
-        for id in 0..4u32 {
-            g.insert(id, Segment::new(Point::new(10, 10), Point::new(40, 40)));
-        }
-        for c in g.nonempty_cells() {
-            assert_eq!(g.cell_items(c), [0, 1, 2, 3]);
-        }
-    }
-
-    proptest! {
-        #[test]
-        fn segment_grid_crossing_pairs_share_a_cell(
-            ax in 0i64..200, ay in 0i64..200, bx in 0i64..200, by in 0i64..200,
-            cx in 0i64..200, cy in 0i64..200, dx in 0i64..200, dy in 0i64..200,
-            cols in 1usize..12, rows in 1usize..12,
-        ) {
-            let s1 = Segment::new(Point::new(ax, ay), Point::new(bx, by));
-            let s2 = Segment::new(Point::new(cx, cy), Point::new(dx, dy));
-            let extent = BoundingBox::from_points(
-                [s1.a, s1.b, s2.a, s2.b].into_iter(),
-            ).unwrap();
-            let mut g = SegmentGrid::new(extent, cols, rows);
-            g.insert(0, s1);
-            g.insert(1, s2);
-            if s1.crosses(&s2) {
-                let shared = g.nonempty_cells().into_iter().any(|c| {
-                    let items = g.cell_items(c);
-                    items.contains(&0) && items.contains(&1)
-                });
-                prop_assert!(shared, "crossing segments must share a cell");
-            }
-        }
-
-        #[test]
-        fn segment_grid_endpoint_cells_are_covered(
-            ax in 0i64..101, ay in 0i64..101,
-            bx in 0i64..101, by in 0i64..101,
-            cols in 1usize..9, rows in 1usize..9,
-        ) {
-            let seg = Segment::new(Point::new(ax, ay), Point::new(bx, by));
-            let mut g = SegmentGrid::new(die(), cols, rows);
-            g.insert(3, seg);
-            for p in [seg.a, seg.b] {
-                let cell = g.row_of(p.y) * cols + g.col_of(p.x);
-                prop_assert!(
-                    g.cell_items(cell).contains(&3),
-                    "endpoint {p:?} cell {cell} not covered"
-                );
-            }
-        }
     }
 
     proptest! {

@@ -12,12 +12,11 @@
 //!   ILP variable-reduction speed-up of the paper),
 //! * [`Segment`] — line segments with exact intersection predicates (used
 //!   to count waveguide crossings for the crossing-loss term),
-//! * [`Grid`] — uniform spatial binning (used for hotspot power maps and
-//!   to accelerate all-pairs segment intersection queries),
+//! * [`Grid`] — uniform spatial binning (used for hotspot power maps),
 //! * [`sweep_crossings`] — output-sensitive Bentley–Ottmann sweep line
 //!   reporting proper segment crossings with exact rational event
-//!   ordering (the third crossing-build strategy next to brute force and
-//!   the grid).
+//!   ordering (the crossing index's only production discovery; an
+//!   all-pairs scan remains as its test oracle).
 //!
 //! # Examples
 //!
@@ -38,7 +37,7 @@ mod segment;
 mod sweep;
 
 pub use bbox::BoundingBox;
-pub use grid::{Grid, GridCell, SegmentGrid};
+pub use grid::{Grid, GridCell};
 pub use point::{FPoint, Point};
 pub use segment::{Orientation, Segment};
 pub use sweep::{sweep_crossings, SWEEP_COORD_LIMIT};

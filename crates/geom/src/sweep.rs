@@ -1,11 +1,12 @@
 //! Bentley–Ottmann sweep line over candidate segments.
 //!
-//! Third crossing-build strategy next to brute force and the uniform
-//! [`SegmentGrid`](crate::SegmentGrid): output-sensitive `O((n + k) log n)`
-//! in the segment count `n` and the crossing count `k`, so it wins exactly
-//! where the grid loses — candidate sets whose segment lengths are widely
-//! dispersed (a few die-spanning trunks over many short cluster stubs
-//! defeat any uniform cell size).
+//! The crossing index's one production discovery: output-sensitive
+//! `O((n + k) log n)` in the segment count `n` and the crossing count
+//! `k`, so each crossing is found exactly once whatever the spread of
+//! segment lengths (a few die-spanning trunks over many short cluster
+//! stubs cost no more than their crossings). An all-pairs scan is kept
+//! only as the equivalence oracle and as the fallback for coordinates
+//! beyond [`SWEEP_COORD_LIMIT`].
 //!
 //! Determinism is load-bearing: the crossing index must be a pure function
 //! of the candidate set. All event ordering here uses exact rational

@@ -25,9 +25,10 @@
 //!
 //! ECO requests apply the change and immediately re-route (warm when
 //! possible), responding with the same route digest as `route`.
-//! Failed requests — unknown session, malformed JSON, rejected ECO —
-//! produce an `{"ok": false, ...}` response and leave every session
-//! untouched; the daemon keeps serving.
+//! Failed requests — unknown session, malformed JSON, rejected ECO, a
+//! line longer than [`MAX_REQUEST_BYTES`] — produce an
+//! `{"ok": false, ...}` response and leave every session untouched; the
+//! daemon keeps serving.
 //!
 //! # Determinism contract
 //!
@@ -61,6 +62,23 @@ use operon_geom::Point;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Mutex;
+
+/// The longest request line, in bytes before its `\n`, that the daemon
+/// parses. A longer line is answered with one error response; the serve
+/// loop buffers at most `MAX_REQUEST_BYTES + 1` bytes of it and drops the
+/// rest up to the newline, so one unterminated line cannot exhaust memory.
+///
+/// 16 MiB is 4.4× the longest `open_design` line the repository's
+/// generators produce: `SynthConfig::die_scale(100_000)` written with
+/// `io::write_design` and sent inline is 3.77–3.79 MB (3,788,628 bytes at
+/// its largest over generator seeds 1, 7 and 2018).
+pub const MAX_REQUEST_BYTES: usize = 16 << 20;
+
+/// Whether a request line gets a response: every non-blank line, and
+/// every line over [`MAX_REQUEST_BYTES`] whatever it holds.
+fn is_request(line: &str) -> bool {
+    line.len() > MAX_REQUEST_BYTES || !line.trim().is_empty()
+}
 
 /// A parsed protocol request.
 #[derive(Clone, Debug, PartialEq)]
@@ -200,9 +218,14 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// A human-readable message for malformed JSON, an unknown `op`, or
-    /// missing/mistyped fields.
+    /// A human-readable message for a line over [`MAX_REQUEST_BYTES`],
+    /// malformed JSON, an unknown `op`, or missing/mistyped fields.
     pub fn parse(line: &str) -> Result<Request, String> {
+        if line.len() > MAX_REQUEST_BYTES {
+            return Err(format!(
+                "request too large: line exceeds {MAX_REQUEST_BYTES} bytes"
+            ));
+        }
         let value = json::parse(line).map_err(|e| format!("malformed request: {e}"))?;
         let op = value
             .get("op")
@@ -388,14 +411,14 @@ impl Server {
         out
     }
 
-    /// Runs a full request trace (one request per line; blank lines
-    /// skipped), returning the concatenated response lines. All lines
-    /// are queued upfront, so batching — and every response byte — is a
-    /// pure function of the trace and the admission width.
+    /// Runs a full request trace (one request per `\n`-terminated line;
+    /// blank lines skipped), returning the concatenated response lines.
+    /// All lines are queued upfront, so batching — and every response
+    /// byte — is a pure function of the trace and the admission width.
     pub fn run_trace(&mut self, trace: &str) -> String {
         let mut pending: Vec<PendingLine> = trace
-            .lines()
-            .filter(|l| !l.trim().is_empty())
+            .split('\n')
+            .filter(|l| is_request(l))
             .map(|l| PendingLine {
                 req: Request::parse(l),
             })
@@ -413,7 +436,10 @@ impl Server {
     /// resulting file replays via [`Server::run_trace`]. Lines are decoded
     /// lossily: invalid UTF-8 becomes U+FFFD, so a bad byte yields an
     /// error response instead of ending the loop, and the recorded
-    /// (decoded) line replays to the same response.
+    /// (decoded) line replays to the same response. A line over
+    /// [`MAX_REQUEST_BYTES`] is read without buffering past the cap; its
+    /// recorded `MAX_REQUEST_BYTES + 1`-byte prefix is itself over the
+    /// cap, so it replays to the same error.
     ///
     /// Requests already buffered in `reader` are batched together;
     /// the concrete batching never changes any response byte (see the
@@ -431,16 +457,16 @@ impl Server {
         let mut line = Vec::new();
         while !self.shutdown {
             line.clear();
-            if reader.read_until(b'\n', &mut line)? == 0 {
+            if read_request_line(reader, &mut line)? == 0 {
                 break; // EOF
             }
             let mut pending = Vec::new();
             let mut queue_line = |l: &str, record: &mut Option<&mut dyn Write>| {
-                if l.trim().is_empty() {
+                if !is_request(l) {
                     return std::io::Result::Ok(());
                 }
                 if let Some(rec) = record.as_deref_mut() {
-                    rec.write_all(l.trim_end_matches(['\r', '\n']).as_bytes())?;
+                    rec.write_all(l.as_bytes())?;
                     rec.write_all(b"\n")?;
                 }
                 pending.push(PendingLine {
@@ -453,7 +479,7 @@ impl Server {
             // delivered: they form the batching window.
             while reader.buffer().contains(&b'\n') {
                 line.clear();
-                if reader.read_until(b'\n', &mut line)? == 0 {
+                if read_request_line(reader, &mut line)? == 0 {
                     break;
                 }
                 queue_line(&String::from_utf8_lossy(&line), &mut record)?;
@@ -612,6 +638,37 @@ impl Server {
         stage.record("admitted", self.admission.admitted());
         stage.record("largest_batch", self.admission.largest_batch());
         stage.record("exclusive_batches", self.admission.exclusive_batches());
+    }
+}
+
+/// Reads one line through its `\n` (or to EOF) into `buf`, without the
+/// newline, keeping at most `MAX_REQUEST_BYTES + 1` bytes of it: the rest
+/// of an over-cap line is consumed and dropped, so the kept prefix marks
+/// the line as over the cap without buffering it. Returns the bytes
+/// consumed from `reader`, newline included (0 at EOF).
+fn read_request_line<R: Read>(
+    reader: &mut BufReader<R>,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<usize> {
+    let mut consumed = 0;
+    loop {
+        let avail = match reader.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let (body, newline) = match avail.iter().position(|&b| b == b'\n') {
+            Some(i) => (&avail[..i], true),
+            None => (avail, false),
+        };
+        let room = (MAX_REQUEST_BYTES + 1).saturating_sub(buf.len());
+        buf.extend_from_slice(&body[..body.len().min(room)]);
+        let used = body.len() + usize::from(newline);
+        reader.consume(used);
+        consumed += used;
+        if newline || used == 0 {
+            return Ok(consumed);
+        }
     }
 }
 
@@ -960,5 +1017,43 @@ mod tests {
         let recorded = String::from_utf8(recorded).expect("recorded trace is UTF-8");
         let mut replayer = Server::new(Executor::sequential(), 1);
         assert_eq!(replayer.run_trace(&recorded), out);
+    }
+
+    #[test]
+    fn over_cap_line_gets_one_error_and_the_server_keeps_serving() {
+        // An over-cap line (with a newline at the far end) followed by a
+        // valid request: two responses in order, the first the size
+        // error, and the serve loop carries on to the next request.
+        let mut stream = vec![b'x'; MAX_REQUEST_BYTES + 4096];
+        stream.push(b'\n');
+        stream.extend_from_slice(open_line("s").as_bytes());
+        stream.push(b'\n');
+        let mut server = Server::new(Executor::sequential(), 1);
+        let mut reader = BufReader::new(stream.as_slice());
+        let mut out = Vec::new();
+        let mut recorded = Vec::new();
+        server
+            .serve(&mut reader, &mut out, Some(&mut recorded))
+            .expect("an over-cap line must not end the serve loop");
+        let out = String::from_utf8(out).expect("responses are UTF-8");
+        let responses: Vec<&str> = out.lines().collect();
+        assert_eq!(responses.len(), 2, "{out}");
+        assert!(responses[0].contains("\"ok\":false"), "{out}");
+        assert!(responses[0].contains("request too large"), "{out}");
+        assert!(responses[1].contains("\"ok\":true"), "{out}");
+        assert_eq!(server.session_count(), 1);
+        assert!(!server.is_shut_down());
+
+        // Only the cap-plus-one prefix was kept and recorded, and it
+        // replays to the same response bytes.
+        let recorded = String::from_utf8(recorded).expect("recorded trace is UTF-8");
+        let first = recorded.split('\n').next().unwrap_or_default();
+        assert_eq!(first.len(), MAX_REQUEST_BYTES + 1);
+        let mut replayer = Server::new(Executor::sequential(), 1);
+        assert_eq!(replayer.run_trace(&recorded), out);
+
+        // A line exactly at the cap is still parsed (here: as JSON).
+        let at_cap = " ".repeat(MAX_REQUEST_BYTES - 2) + "{}";
+        assert!(!server.handle_line(&at_cap).contains("request too large"));
     }
 }
