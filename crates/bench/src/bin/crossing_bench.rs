@@ -21,7 +21,12 @@
 //!    least 5× faster than brute force (asserted; ~25× observed). The
 //!    sparse and clustered fixtures ride along unasserted — their
 //!    bounding-box prefilter already prunes most pairs, so both builds
-//!    finish in well under a millisecond.
+//!    finish in well under a millisecond. Identity covers the whole
+//!    layout: every record view, every candidate's neighbor list and
+//!    `heap_bytes()`. Full mode adds the crossing-heavy paper designs
+//!    (I2, I5 at the harness seed) with their pair count, index
+//!    `heap_bytes` and best-of-3 production build time, each checked
+//!    against the oracle once.
 //! 2. **Workspace vs reference LR pricing** on synthesized designs:
 //!    wall time of `select_lr_in` (persistent workspace, as a resident
 //!    session runs it) against the sequential `select_lr_reference`
@@ -58,7 +63,7 @@ use operon_exec::json::Value;
 use operon_exec::{Executor, Stopwatch};
 use operon_geom::Point;
 use operon_mcmf::{EdgeId, McmfGraph};
-use operon_netlist::synth::{generate, SynthConfig};
+use operon_netlist::synth::{generate, paper_benchmark, SynthConfig};
 use operon_optics::{ElectricalParams, OpticalLib};
 use operon_steiner::{NodeKind, RouteTree};
 
@@ -75,6 +80,11 @@ fn main() {
     let hardware = std::thread::available_parallelism().map_or(1, usize::from);
 
     let builds = bench_crossing_builds(smoke);
+    let suite = if smoke {
+        Vec::new()
+    } else {
+        bench_paper_suite_index()
+    };
     let lr = bench_lr_pricing(smoke);
     let (mcmf, plans) = bench_warm_mcmf(smoke);
 
@@ -88,6 +98,7 @@ fn main() {
         ("iters_per_point", Value::from(u64::from(ITERS))),
         ("hardware_threads", Value::from(hardware)),
         ("crossing_build", Value::Array(builds)),
+        ("crossing_index_paper_suite", Value::Array(suite)),
         ("lr_pricing", Value::Array(lr)),
         ("mcmf_warm_resolve", mcmf),
         ("wdm_plan", Value::Array(plans)),
@@ -237,11 +248,25 @@ fn dense_nets(rings: usize, chords: usize) -> Vec<NetCandidates> {
 // 1. Sweep vs brute-force crossing build
 // ---------------------------------------------------------------------------
 
-fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
+/// Layout identity through the public surface: every key and record
+/// view (the count arena, side split and total), every candidate's
+/// neighbor list (the slot table and CSR, record handles included) and
+/// the arenas' byte size.
+fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, nets: &[NetCandidates], label: &str) {
     assert_eq!(a.len(), b.len(), "{label}: pair count");
+    assert_eq!(a.heap_bytes(), b.heap_bytes(), "{label}: heap bytes");
     for ((ka, va), (kb, vb)) in a.iter().zip(b.iter()) {
         assert_eq!(ka, kb, "{label}: keys");
         assert_eq!(va, vb, "{label}: records");
+    }
+    for (net, nc) in nets.iter().enumerate() {
+        for cand in 0..nc.candidates.len() {
+            assert_eq!(
+                a.neighbors(net, cand),
+                b.neighbors(net, cand),
+                "{label}: neighbors of ({net}, {cand})"
+            );
+        }
     }
 }
 
@@ -270,7 +295,7 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             let sw = Stopwatch::start();
             let sweep = CrossingIndex::build_with(&nets, &exec1);
             sweep_ms = sweep_ms.min(sw.elapsed().as_secs_f64() * 1e3);
-            assert_index_eq(&sweep, &reference, &format!("{name}, sweep"));
+            assert_index_eq(&sweep, &reference, &nets, &format!("{name}, sweep"));
             assert_eq!(
                 sweep.build_info().strategy,
                 ChosenBuild::Sweep,
@@ -299,6 +324,64 @@ fn bench_crossing_builds(smoke: bool) -> Vec<Value> {
             ("brute_force_best_ms", Value::from(reference_ms)),
             ("sweep_best_ms", Value::from(sweep_ms)),
             ("sweep_speedup_vs_brute", Value::from(speedup)),
+        ]));
+    }
+    out
+}
+
+/// The generator seed every paper-suite bench routes.
+const HARNESS_SEED: u64 = 2018;
+
+/// The candidate set the flow hands the crossing stage for one design.
+fn flow_candidates(synth: &SynthConfig, seed: u64) -> Vec<NetCandidates> {
+    let config = OperonConfig::default();
+    let design = generate(synth, seed);
+    let nets = build_hyper_nets(&design, &config.cluster);
+    let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
+    nets.iter()
+        .enumerate()
+        .map(|(i, n)| generate_candidates(n, i, &config))
+        .collect()
+}
+
+/// The production build on the crossing-heavy paper designs (I2, I5 at
+/// the harness seed): pair count, the index's arena bytes and the
+/// best-of-`ITERS` build time. Each index is checked against the
+/// brute-force oracle once.
+fn bench_paper_suite_index() -> Vec<Value> {
+    let mut out = Vec::new();
+    for name in ["I2", "I5"] {
+        let synth = paper_benchmark(name).expect("paper benchmark");
+        let nets = flow_candidates(&synth, HARNESS_SEED);
+        let exec = Executor::new(1);
+        let mut build_ms = f64::INFINITY;
+        let mut index: Option<CrossingIndex> = None;
+        for _ in 0..ITERS {
+            // Drop the previous index first so each build runs at the
+            // same heap state.
+            drop(index.take());
+            let sw = Stopwatch::start();
+            let idx = CrossingIndex::build_with(&nets, &exec);
+            build_ms = build_ms.min(sw.elapsed().as_secs_f64() * 1e3);
+            index = Some(idx);
+        }
+        let index = index.expect("at least one iteration");
+        let reference = CrossingIndex::build_reference(&nets);
+        assert_index_eq(&index, &reference, &nets, &format!("{name}, sweep"));
+        let pairs = index.len();
+        let bytes = index.heap_bytes();
+        println!(
+            "index {name}: {n} hyper nets, {pairs} pairs, {bytes} heap bytes \
+             ({per:.1} B/pair), build {build_ms:.1} ms",
+            n = nets.len(),
+            per = bytes as f64 / pairs.max(1) as f64,
+        );
+        out.push(Value::object(vec![
+            ("name", Value::from(format!("{name}_seed{HARNESS_SEED}"))),
+            ("hyper_nets", Value::from(nets.len())),
+            ("crossing_pairs", Value::from(pairs)),
+            ("heap_bytes", Value::from(bytes)),
+            ("build_best_ms", Value::from(build_ms)),
         ]));
     }
     out

@@ -31,56 +31,112 @@
 //!
 //! # Arena layout
 //!
-//! The index stores sorted flat vectors only — no tree maps on any hot
-//! path. `keys`/`records` are parallel arrays in sorted [`PairKey`]
-//! order; `pair()` is a binary search. Neighbor lists live in one CSR
-//! arena (`adj_keys`/`adj_off`/`adj`). Record handles are stable `u32`
-//! indexes; [`CrossingIndex::rebuild_delta`] re-derives the arena from
-//! retained rows plus a localized re-sweep of the dirty neighborhood, so
-//! handles stay valid across ECOs exactly when the rows they name are
-//! unchanged.
+//! The index stores flat vectors only — no tree maps, no per-record heap
+//! allocation:
+//!
+//! * `keys` — sorted `[net_a, cand_a, net_b, cand_b]` pair keys (`u32`
+//!   ids, `net_a < net_b`); `pair()` is a binary search.
+//! * `records` — one 12-byte record per key: the offset of its counts in
+//!   the shared arena, the length of side A, and the total crossing
+//!   count. Side B runs up to the next record's offset.
+//! * `arena` — every record's `(path, count)` entries back to back, in
+//!   key order, side A before side B.
+//! * a neighbor CSR indexed by dense candidate slot (`slot_off[net] +
+//!   cand`, the prefix sum of per-net candidate counts), so
+//!   `neighbors()` is two array reads. Each 12-byte [`Neighbor`] names
+//!   the other candidate and its record, with the owner's side in the
+//!   record handle's top bit.
+//!
+//! Every constructor feeds one in-order record builder (`RecordBuilder`)
+//! whose `finish` lays the CSR down with a counting pass in record
+//! order, so each owner's list comes out sorted by the other candidate
+//! without a sort. The full build assembles records straight off its
+//! sorted hit runs and drops the hits before the CSR goes up;
+//! [`CrossingIndex::rebuild_delta`] merges retained records with the
+//! re-swept runs; the tile-sharded build k-way merges its per-pass runs;
+//! the brute-force oracle sorts its own pair list. Record handles are
+//! stable `u32` indexes into the key order, so handles stay valid across
+//! ECOs exactly when the rows they name are unchanged.
+//! [`CrossingIndex::heap_bytes`] reports the arenas' exact size.
 
 use crate::codesign::NetCandidates;
 use operon_exec::Executor;
 use operon_geom::{sweep_crossings, BoundingBox, Segment, SWEEP_COORD_LIMIT};
+use std::ops::Range;
 
-/// Crossing counts between one ordered pair of candidates.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PairCross {
-    /// `(path index in candidate A, crossings on that path)`.
-    pub per_path_a: Vec<(usize, usize)>,
-    /// `(path index in candidate B, crossings on that path)`.
-    pub per_path_b: Vec<(usize, usize)>,
-    /// Total segment crossings between the two candidates.
-    pub total: usize,
-}
+/// One `(path index, crossings on that path)` entry of a record side.
+pub type PathCount = (u32, u32);
+
+/// One side's `(path index, crossings)` counts of a crossing record,
+/// ascending by path index.
+pub type PathCounts = [PathCount];
 
 /// Key: `(net_a, cand_a, net_b, cand_b)` with `net_a < net_b`.
 pub(crate) type PairKey = (usize, usize, usize, usize);
 
-/// One side's `(path index, crossings)` counts of a crossing record.
-pub type PathCounts = [(usize, usize)];
+/// Crossing counts between one ordered pair of candidates: a borrowed
+/// view of the index's arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairView<'a> {
+    /// `(path index in candidate A, crossings on that path)`.
+    pub per_path_a: &'a PathCounts,
+    /// `(path index in candidate B, crossings on that path)`.
+    pub per_path_b: &'a PathCounts,
+    /// Total segment crossings between the two candidates.
+    pub total: u32,
+}
+
+/// A record's place in the arena: side A is `arena[off..off + len_a]`,
+/// side B runs from there to the next record's `off`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Record {
+    off: u32,
+    len_a: u32,
+    total: u32,
+}
+
+/// Top bit of [`Neighbor`]'s record handle: the list owner is side A.
+const OWNER_IS_A: u32 = 1 << 31;
 
 /// One entry of a candidate's neighbor list: a candidate of another net
 /// that it crosses, plus a direct handle to the shared crossing record so
 /// hot pricing loops read per-path counts without any map walk per query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Neighbor {
-    /// The crossing net.
-    pub net: usize,
-    /// The crossing net's candidate index.
-    pub cand: usize,
-    /// Index into `CrossingIndex::records`.
+    net: u32,
+    cand: u32,
+    /// Index into `CrossingIndex::records`, [`OWNER_IS_A`] set when the
+    /// list owner is side A of the record.
     record: u32,
-    /// Whether the list owner is side A of the record.
-    owner_is_a: bool,
 }
 
 impl Neighbor {
+    /// The crossing net.
+    #[inline]
+    pub fn net(&self) -> usize {
+        self.net as usize
+    }
+
+    /// The crossing net's candidate index.
+    #[inline]
+    pub fn cand(&self) -> usize {
+        self.cand as usize
+    }
+
     /// The `(net, cand)` pair of this neighbor.
     #[inline]
     pub fn key(&self) -> (usize, usize) {
-        (self.net, self.cand)
+        (self.net(), self.cand())
+    }
+
+    #[inline]
+    fn record(&self) -> usize {
+        (self.record & !OWNER_IS_A) as usize
+    }
+
+    #[inline]
+    fn owner_is_a(&self) -> bool {
+        self.record & OWNER_IS_A != 0
     }
 }
 
@@ -135,22 +191,24 @@ struct SegRef {
 
 /// All pairwise crossing counts over a candidate set.
 ///
-/// Flat sorted arenas throughout (see the module docs): parallel
-/// `keys`/`records` arrays and one CSR neighbor arena. Iteration order
-/// is the sorted key order, so runs are bit-reproducible without any
-/// tree map.
+/// Flat arenas throughout (see the module docs): sorted keys, fixed-size
+/// records over one shared count arena, and one CSR neighbor arena.
+/// Iteration order is the sorted key order, so runs are bit-reproducible
+/// without any tree map.
 #[derive(Clone, Debug, Default)]
 pub struct CrossingIndex {
     /// Sorted pair keys; `records[i]` belongs to `keys[i]`.
-    keys: Vec<PairKey>,
+    keys: Vec<[u32; 4]>,
     /// Crossing records in sorted key order.
-    records: Vec<PairCross>,
-    /// Sorted distinct `(net, cand)` owners of neighbor lists.
-    adj_keys: Vec<(usize, usize)>,
-    /// CSR offsets into `adj`; `adj_keys.len() + 1` entries.
+    records: Vec<Record>,
+    /// Every record's `(path, count)` entries, in record order.
+    arena: Vec<PathCount>,
+    /// Dense slot of `(net, cand)` is `slot_off[net] + cand`; one entry
+    /// per net plus the total candidate count.
+    slot_off: Vec<u32>,
+    /// CSR offsets into `adj`, one per slot plus the end.
     adj_off: Vec<u32>,
-    /// Neighbor arena: owner `adj_keys[i]`'s list is
-    /// `adj[adj_off[i]..adj_off[i + 1]]`.
+    /// Neighbor arena: slot `s`'s list is `adj[adj_off[s]..adj_off[s + 1]]`.
     adj: Vec<Neighbor>,
     /// Provenance of the last build (excluded from equality).
     info: BuildInfo,
@@ -158,10 +216,10 @@ pub struct CrossingIndex {
 
 impl PartialEq for CrossingIndex {
     fn eq(&self, other: &Self) -> bool {
-        // The CSR arena is a pure function of `keys`, and `info` is
-        // provenance, not content: two indexes are equal iff their pair
-        // maps are.
-        self.keys == other.keys && self.records == other.records
+        // The CSR arena is a pure function of `keys` and the candidate
+        // counts, and `info` is provenance, not content: two indexes are
+        // equal iff their pair maps are.
+        self.keys == other.keys && self.records == other.records && self.arena == other.arena
     }
 }
 
@@ -180,14 +238,15 @@ impl CrossingIndex {
     pub fn build_with(nets: &[NetCandidates], _exec: &Executor) -> Self {
         let mut hits = discover_hits(nets, None);
         sort_hits(&mut hits);
-        Self::from_hits(
-            nets,
-            &hits,
-            BuildInfo {
-                strategy: ChosenBuild::Sweep,
-                parallel: false,
-            },
-        )
+        let mut builder = RecordBuilder::new(nets, key_runs(&hits).count());
+        for run in key_runs(&hits) {
+            builder.push_run(run);
+        }
+        drop(hits);
+        builder.finish(BuildInfo {
+            strategy: ChosenBuild::Sweep,
+            parallel: false,
+        })
     }
 
     /// Provenance of the build that produced this index.
@@ -212,9 +271,16 @@ impl CrossingIndex {
         // Net-level prefilter: union bbox of all optical candidates.
         let net_bbox = net_bboxes(nets);
 
-        let rows: Vec<Vec<(PairKey, PairCross)>> = exec.par_map_indexed(&net_bbox, |a, bb_a| {
-            let mut row = Vec::new();
-            let Some(bb_a) = bb_a else { return row };
+        // Each row: its pairs as (key, side-A range, side-B range, total)
+        // into the row's own count arena, sorted by key. Every key of row
+        // `a` starts with `a`, so the rows concatenate in key order.
+        type Row = Vec<([u32; 4], Range<usize>, Range<usize>, u32)>;
+        let rows: Vec<(Row, Vec<PathCount>)> = exec.par_map_indexed(&net_bbox, |a, bb_a| {
+            let mut row: Row = Vec::new();
+            let mut arena: Vec<PathCount> = Vec::new();
+            let Some(bb_a) = bb_a else {
+                return (row, arena);
+            };
             for b in a + 1..nets.len() {
                 let Some(bb_b) = net_bbox[b] else { continue };
                 if !bb_a.overlaps(&bb_b) {
@@ -231,23 +297,31 @@ impl CrossingIndex {
                         if !cbb_a.overlaps(&cbb_b) {
                             continue;
                         }
-                        let cross = count_pair(ca, cb);
-                        if cross.total > 0 {
-                            row.push(((a, ai, b, bi), cross));
+                        let start = arena.len();
+                        if let Some((len_a, total)) = count_pair(ca, cb, &mut arena) {
+                            let mid = start + len_a;
+                            let key = [a, ai, b, bi].map(|x| x as u32);
+                            row.push((key, start..mid, mid..arena.len(), total));
                         }
                     }
                 }
             }
-            row
+            row.sort_unstable_by_key(|e| e.0);
+            (row, arena)
         });
 
-        Self::from_pair_list(
-            rows.into_iter().flatten().collect(),
-            BuildInfo {
-                strategy: ChosenBuild::BruteForce,
-                parallel: true,
-            },
-        )
+        let pairs = rows.iter().map(|(row, _)| row.len()).sum();
+        let mut builder = RecordBuilder::new(nets, pairs);
+        for (row, arena) in &rows {
+            for (key, a, b, total) in row {
+                builder.push(*key, &arena[a.clone()], &arena[b.clone()], *total);
+            }
+        }
+        drop(rows);
+        builder.finish(BuildInfo {
+            strategy: ChosenBuild::BruteForce,
+            parallel: true,
+        })
     }
 
     /// Rebuilds the index after the candidates of `changed` nets were
@@ -255,27 +329,19 @@ impl CrossingIndex {
     /// Equivalent to a full [`build`](Self::build) of the new candidate
     /// set, at the cost of the changed rows only.
     ///
-    /// Implementation: retained rows are copied across; the dirty
+    /// Implementation: retained records are copied across; the dirty
     /// neighborhood — changed nets plus every net whose bounding box
     /// overlaps a changed net's — is re-swept locally, which patches
     /// exactly the event ranges the change invalidated instead of
     /// replaying the whole event queue. Pairs between two unchanged
-    /// nets found by the local sweep are discarded (their retained rows
-    /// are already exact), so the merge is conflict-free.
+    /// nets found by the local sweep are discarded (their retained
+    /// records are already exact), so retained records and re-swept runs
+    /// are key-disjoint and merge in order without a re-sort.
     pub fn rebuild_delta(&self, nets: &[NetCandidates], changed: &[usize]) -> Self {
         let mut is_changed = vec![false; nets.len()];
         for &i in changed {
             if i < nets.len() {
                 is_changed[i] = true;
-            }
-        }
-        // Retained rows: both nets unchanged. Record contents are cloned
-        // into the new arena; their new handles follow the sorted order.
-        let mut list: Vec<(PairKey, PairCross)> = Vec::with_capacity(self.keys.len());
-        for (key, rec) in self.keys.iter().zip(&self.records) {
-            if key.0 < nets.len() && key.2 < nets.len() && !is_changed[key.0] && !is_changed[key.2]
-            {
-                list.push((*key, rec.clone()));
             }
         }
 
@@ -301,103 +367,47 @@ impl CrossingIndex {
         });
         sort_hits(&mut hits);
 
-        let mut runs = assemble_runs(nets, &hits);
-        list.append(&mut runs);
-        Self::from_pair_list(
-            list,
-            BuildInfo {
-                strategy: ChosenBuild::Delta,
-                parallel: false,
-            },
-        )
-    }
-
-    /// Assembles the arena from unique, globally sorted packed crossing
-    /// hits. `pub(crate)` so the tile-sharded build
-    /// ([`crate::shard`]) can funnel its ordered merge through the same
-    /// canonical assembly as the monolithic build.
-    pub(crate) fn from_hits(nets: &[NetCandidates], hits: &[Hit], info: BuildInfo) -> Self {
-        Self::from_pair_list(assemble_runs(nets, hits), info)
-    }
-
-    /// Assembles the dense record vector and the CSR neighbor arena from
-    /// a `(key, record)` list. The list
-    /// need not be sorted; keys must be unique. `pub(crate)` so the
-    /// tile-sharded build can drop its per-tile hit lists *before* the
-    /// arena is built — the peak-memory edge over the monolithic path,
-    /// which must keep its hit buffer alive through this call.
-    pub(crate) fn from_pair_list(mut list: Vec<(PairKey, PairCross)>, info: BuildInfo) -> Self {
-        // Keys are unique, so an unstable sort is exact; sweep and sharded builds
-        // hand the list over already sorted and pay only the scan.
-        list.sort_unstable_by_key(|x| x.0);
-        let n = list.len();
-        let mut keys = Vec::with_capacity(n);
-        let mut records = Vec::with_capacity(n);
-        // Both directions of every record, keyed by owner and ordered by
-        // (owner, record handle). The a-side entries inherit that order
-        // from the sorted key list (a record's a-owner is its key
-        // prefix), so only the b-side is sorted, then a linear two-way
-        // merge assembles the CSR without an intermediate 2n-entry sort.
-        let mut b_side: Vec<(u128, Neighbor)> = Vec::with_capacity(n);
-        for (idx, (key, pc)) in list.into_iter().enumerate() {
-            let (na, ca, nb, cb) = key;
-            keys.push(key);
-            records.push(pc);
-            b_side.push((
-                pack_owner(nb, cb),
-                Neighbor {
-                    net: na,
-                    cand: ca,
-                    record: idx as u32,
-                    owner_is_a: false,
-                },
-            ));
-        }
-        b_side.sort_unstable_by_key(|&(owner, nb)| (owner, nb.record));
-
-        let mut adj_keys: Vec<(usize, usize)> = Vec::new();
-        let mut adj_off: Vec<u32> = Vec::new();
-        let mut adj: Vec<Neighbor> = Vec::with_capacity(2 * n);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < n || j < b_side.len() {
-            let take_a = if i == n {
-                false
-            } else if j == b_side.len() {
-                true
-            } else {
-                let (na, ca, _, _) = keys[i];
-                (pack_owner(na, ca), i as u32) <= (b_side[j].0, b_side[j].1.record)
-            };
-            let (owner, nb) = if take_a {
-                let (na, ca, onet, ocand) = keys[i];
-                let nb = Neighbor {
-                    net: onet,
-                    cand: ocand,
-                    record: i as u32,
-                    owner_is_a: true,
-                };
-                i += 1;
-                ((na, ca), nb)
-            } else {
-                let (packed, nb) = b_side[j];
-                j += 1;
-                (unpack_owner(packed), nb)
-            };
-            if adj_keys.last() != Some(&owner) {
-                adj_keys.push(owner);
-                adj_off.push(adj.len() as u32);
+        // Retained records: both nets still present and unchanged.
+        let unchanged = |net: u32| (net as usize) < nets.len() && !is_changed[net as usize];
+        let retained = (0..self.keys.len()).filter(|&r| {
+            let key = self.keys[r];
+            unchanged(key[0]) && unchanged(key[2])
+        });
+        let pairs = retained.clone().count() + key_runs(&hits).count();
+        let mut builder = RecordBuilder::new(nets, pairs);
+        let mut runs = key_runs(&hits).peekable();
+        for r in retained {
+            let key = self.keys[r];
+            while let Some(run) = runs.next_if(|run| hit_key(run[0].0) < key) {
+                builder.push_run(run);
             }
-            adj.push(nb);
+            let v = self.view(r);
+            builder.push(key, v.per_path_a, v.per_path_b, v.total);
         }
-        adj_off.push(adj.len() as u32);
+        for run in runs {
+            builder.push_run(run);
+        }
+        drop(hits);
+        builder.finish(BuildInfo {
+            strategy: ChosenBuild::Delta,
+            parallel: false,
+        })
+    }
 
-        Self {
-            keys,
-            records,
-            adj_keys,
-            adj_off,
-            adj,
-            info,
+    /// Record `r`'s counts.
+    #[inline]
+    fn view(&self, r: usize) -> PairView<'_> {
+        let rec = self.records[r];
+        let end = self
+            .records
+            .get(r + 1)
+            .map_or(self.arena.len(), |next| next.off as usize);
+        let (per_path_a, per_path_b) =
+            self.arena[rec.off as usize..end].split_at(rec.len_a as usize);
+        PairView {
+            per_path_a,
+            per_path_b,
+            total: rec.total,
         }
     }
 
@@ -409,19 +419,22 @@ impl CrossingIndex {
         cand_a: usize,
         net_b: usize,
         cand_b: usize,
-    ) -> Option<&PairCross> {
+    ) -> Option<PairView<'_>> {
         let key = if net_a < net_b {
-            (net_a, cand_a, net_b, cand_b)
+            [net_a, cand_a, net_b, cand_b]
         } else {
-            (net_b, cand_b, net_a, cand_a)
+            [net_b, cand_b, net_a, cand_a]
         };
-        self.keys.binary_search(&key).ok().map(|i| &self.records[i])
+        // Ids beyond `u32` can name no record.
+        let key = key.map(|x| u32::try_from(x).ok());
+        let key = [key[0]?, key[1]?, key[2]?, key[3]?];
+        self.keys.binary_search(&key).ok().map(|r| self.view(r))
     }
 
     /// The crossing record behind a neighbor-list entry — no map walk.
     #[inline]
-    pub fn record(&self, nb: &Neighbor) -> &PairCross {
-        &self.records[nb.record as usize]
+    pub fn record(&self, nb: &Neighbor) -> PairView<'_> {
+        self.view(nb.record())
     }
 
     /// Per-path crossing counts of a neighbor-list entry, as
@@ -429,11 +442,11 @@ impl CrossingIndex {
     /// `pair()` lookup plus the `net < other` side selection.
     #[inline]
     pub fn per_path(&self, nb: &Neighbor) -> (&PathCounts, &PathCounts) {
-        let pc = &self.records[nb.record as usize];
-        if nb.owner_is_a {
-            (&pc.per_path_a, &pc.per_path_b)
+        let v = self.view(nb.record());
+        if nb.owner_is_a() {
+            (v.per_path_a, v.per_path_b)
         } else {
-            (&pc.per_path_b, &pc.per_path_a)
+            (v.per_path_b, v.per_path_a)
         }
     }
 
@@ -447,32 +460,40 @@ impl CrossingIndex {
         other_net: usize,
         other_cand: usize,
     ) -> usize {
-        let Some(pc) = self.pair(net, cand, other_net, other_cand) else {
+        let Some(v) = self.pair(net, cand, other_net, other_cand) else {
             return 0;
         };
         let per_path = if net < other_net {
-            &pc.per_path_a
+            v.per_path_a
         } else {
-            &pc.per_path_b
+            v.per_path_b
         };
         per_path
             .iter()
-            .find(|&&(p, _)| p == path)
-            .map_or(0, |&(_, n)| n)
+            .find(|&&(p, _)| p as usize == path)
+            .map_or(0, |&(_, n)| n as usize)
     }
 
     /// Iterates over all crossing pairs as
     /// `((net_a, cand_a, net_b, cand_b), record)` in sorted key order.
-    pub fn iter(&self) -> impl Iterator<Item = (PairKey, &PairCross)> {
-        self.keys.iter().copied().zip(self.records.iter())
+    pub fn iter(&self) -> impl Iterator<Item = (PairKey, PairView<'_>)> {
+        self.keys.iter().enumerate().map(|(r, k)| {
+            let [na, ca, nb, cb] = k.map(|x| x as usize);
+            ((na, ca, nb, cb), self.view(r))
+        })
     }
 
-    /// The candidates of other nets that cross `(net, cand)`.
+    /// The candidates of other nets that cross `(net, cand)`, ascending
+    /// by `(net, cand)`.
     pub fn neighbors(&self, net: usize, cand: usize) -> &[Neighbor] {
-        match self.adj_keys.binary_search(&(net, cand)) {
-            Ok(i) => &self.adj[self.adj_off[i] as usize..self.adj_off[i + 1] as usize],
-            Err(_) => &[],
+        let (Some(&lo), Some(&hi)) = (self.slot_off.get(net), self.slot_off.get(net + 1)) else {
+            return &[];
+        };
+        if cand >= (hi - lo) as usize {
+            return &[];
         }
+        let slot = lo as usize + cand;
+        &self.adj[self.adj_off[slot] as usize..self.adj_off[slot + 1] as usize]
     }
 
     /// Number of crossing candidate pairs.
@@ -483,6 +504,195 @@ impl CrossingIndex {
     /// Whether no candidate pair crosses.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// Bytes held by the index's arenas, from their lengths rather than
+    /// their capacities, so it is a pure function of the candidate set.
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(self.keys.as_slice())
+            + size_of_val(self.records.as_slice())
+            + size_of_val(self.arena.as_slice())
+            + size_of_val(self.slot_off.as_slice())
+            + size_of_val(self.adj_off.as_slice())
+            + size_of_val(self.adj.as_slice())
+    }
+}
+
+/// Narrows an arena length or id to the index's `u32` handles.
+#[inline]
+fn to_u32(n: usize) -> u32 {
+    // operon-lint: allow(R001, reason = "past u32::MAX arena entries the index would hold over 32 GiB; discovery already packs every id into u32")
+    u32::try_from(n).expect("crossing index exceeds u32 handles")
+}
+
+/// The one in-order record builder behind every constructor: records
+/// arrive in strictly ascending key order, their path counts go straight
+/// into the shared arena, and [`finish`](Self::finish) lays down the
+/// neighbor CSR. Hit runs are attributed to paths through lazily built
+/// per-candidate inverted path indexes plus reusable accumulator scratch,
+/// so a candidate's path structure is walked once no matter how many
+/// pairs it participates in.
+pub(crate) struct RecordBuilder<'n> {
+    nets: &'n [NetCandidates],
+    keys: Vec<[u32; 4]>,
+    records: Vec<Record>,
+    arena: Vec<PathCount>,
+    slot_off: Vec<u32>,
+    /// Inverted path index per candidate slot, built on first use.
+    inv: Vec<Option<SegPathIndex>>,
+    /// Per-path crossing accumulator, zeroed between uses via `touched`.
+    acc: Vec<u32>,
+    touched: Vec<u32>,
+}
+
+impl<'n> RecordBuilder<'n> {
+    /// A builder for `pairs` records over `nets`' candidates.
+    fn new(nets: &'n [NetCandidates], pairs: usize) -> Self {
+        let mut slot_off = Vec::with_capacity(nets.len() + 1);
+        let mut slots = 0usize;
+        slot_off.push(0);
+        for nc in nets {
+            slots += nc.candidates.len();
+            slot_off.push(to_u32(slots));
+        }
+        let mut inv = Vec::new();
+        inv.resize_with(slots, || None);
+        Self {
+            nets,
+            keys: Vec::with_capacity(pairs),
+            records: Vec::with_capacity(pairs),
+            // Every crossing segment lies on at least one path per side.
+            arena: Vec::with_capacity(2 * pairs),
+            slot_off,
+            inv,
+            acc: Vec::new(),
+            touched: Vec::new(),
+        }
+    }
+
+    /// Appends one record from its two sides' counts.
+    fn push(&mut self, key: [u32; 4], a: &PathCounts, b: &PathCounts, total: u32) {
+        let off = self.arena.len();
+        self.arena.extend_from_slice(a);
+        self.arena.extend_from_slice(b);
+        self.close(key, off, a.len(), total);
+    }
+
+    /// Appends the record of one key's run of sorted hits, reproducing
+    /// `count_pair`'s attribution exactly.
+    fn push_run(&mut self, run: &[Hit]) {
+        let key = hit_key(run[0].0);
+        let off = self.arena.len();
+        self.attribute_side(key[0], key[1], run, true);
+        let len_a = self.arena.len() - off;
+        self.attribute_side(key[2], key[3], run, false);
+        self.close(key, off, len_a, to_u32(run.len()));
+    }
+
+    /// Records `key`, whose counts were appended to the arena from `off`.
+    fn close(&mut self, key: [u32; 4], off: usize, len_a: usize, total: u32) {
+        debug_assert!(
+            self.keys.last().is_none_or(|last| *last < key),
+            "records out of order"
+        );
+        self.keys.push(key);
+        self.records.push(Record {
+            off: to_u32(off),
+            len_a: to_u32(len_a),
+            total,
+        });
+    }
+
+    /// Path attribution for one side of a pair, appended to the arena:
+    /// ascending `(path index, count)` over paths with at least one
+    /// crossing — byte-identical to [`attribute`] over per-segment counts.
+    fn attribute_side(&mut self, net: u32, cand: u32, run: &[Hit], side_a: bool) {
+        let slot = (self.slot_off[net as usize] + cand) as usize;
+        let nets = self.nets;
+        let idx = self.inv[slot]
+            .get_or_insert_with(|| seg_path_index(&nets[net as usize].candidates[cand as usize]));
+        if self.acc.len() < idx.n_paths {
+            self.acc.resize(idx.n_paths, 0);
+        }
+        self.touched.clear();
+        for &(_, segs) in run {
+            let s = if side_a {
+                segs >> 32
+            } else {
+                segs & 0xFFFF_FFFF
+            } as usize;
+            for &p in &idx.paths[idx.off[s] as usize..idx.off[s + 1] as usize] {
+                if self.acc[p as usize] == 0 {
+                    self.touched.push(p);
+                }
+                self.acc[p as usize] += 1;
+            }
+        }
+        self.touched.sort_unstable();
+        for &p in &self.touched {
+            self.arena.push((p, self.acc[p as usize]));
+            self.acc[p as usize] = 0;
+        }
+    }
+
+    /// Lays down the neighbor CSR with a counting pass in record order
+    /// (each owner's list comes out ascending by the other candidate)
+    /// and returns the finished index.
+    pub(crate) fn finish(self, info: BuildInfo) -> CrossingIndex {
+        let Self {
+            keys,
+            records,
+            mut arena,
+            slot_off,
+            ..
+        } = self;
+        arena.shrink_to_fit();
+        let slots = *slot_off.last().unwrap_or(&0) as usize;
+        let slot = |net: u32, cand: u32| (slot_off[net as usize] + cand) as usize;
+        let mut adj_off = vec![0u32; slots + 1];
+        for k in &keys {
+            adj_off[slot(k[0], k[1]) + 1] += 1;
+            adj_off[slot(k[2], k[3]) + 1] += 1;
+        }
+        for s in 0..slots {
+            adj_off[s + 1] += adj_off[s];
+        }
+        let mut cursor = adj_off.clone();
+        let empty = Neighbor {
+            net: 0,
+            cand: 0,
+            record: 0,
+        };
+        let mut adj = vec![empty; 2 * keys.len()];
+        assert!(
+            keys.len() <= OWNER_IS_A as usize,
+            "crossing index exceeds u32 handles"
+        );
+        for (r, k) in keys.iter().enumerate() {
+            let r = r as u32;
+            for (owner, other, tag) in [
+                ((k[0], k[1]), (k[2], k[3]), OWNER_IS_A),
+                ((k[2], k[3]), (k[0], k[1]), 0),
+            ] {
+                let c = &mut cursor[slot(owner.0, owner.1)];
+                adj[*c as usize] = Neighbor {
+                    net: other.0,
+                    cand: other.1,
+                    record: r | tag,
+                };
+                *c += 1;
+            }
+        }
+        CrossingIndex {
+            keys,
+            records,
+            arena,
+            slot_off,
+            adj_off,
+            adj,
+            info,
+        }
     }
 }
 
@@ -504,14 +714,15 @@ fn pack_hit(p: &SegRef, q: &SegRef) -> Hit {
     )
 }
 
+/// The `[net_a, cand_a, net_b, cand_b]` key of a packed hit.
 #[inline]
-fn hit_key(packed: u128) -> PairKey {
-    (
-        (packed >> 96) as usize,
-        (packed >> 64) as u32 as usize,
-        (packed >> 32) as u32 as usize,
-        packed as u32 as usize,
-    )
+fn hit_key(packed: u128) -> [u32; 4] {
+    [
+        (packed >> 96) as u32,
+        (packed >> 64) as u32,
+        (packed >> 32) as u32,
+        packed as u32,
+    ]
 }
 
 /// The `(net_a, net_b)` pair of a packed hit key (`net_a < net_b`) —
@@ -521,15 +732,9 @@ pub(crate) fn hit_nets(packed: u128) -> (usize, usize) {
     ((packed >> 96) as usize, (packed >> 32) as u32 as usize)
 }
 
-/// `(net, cand)` packed so that integer order equals tuple order.
-#[inline]
-fn pack_owner(net: usize, cand: usize) -> u128 {
-    ((net as u128) << 64) | cand as u128
-}
-
-#[inline]
-fn unpack_owner(packed: u128) -> (usize, usize) {
-    ((packed >> 64) as usize, packed as u64 as usize)
+/// Sorted hits grouped into one run per pair key.
+fn key_runs(hits: &[Hit]) -> std::slice::ChunkBy<'_, Hit, impl FnMut(&Hit, &Hit) -> bool> {
+    hits.chunk_by(|x, y| x.0 == y.0)
 }
 
 /// Flattens every non-degenerate optical segment in (net, cand, seg)
@@ -624,46 +829,23 @@ fn brute_hits(segs: &[SegRef]) -> Vec<Hit> {
     hits
 }
 
-/// Groups sorted hit tuples into per-key runs and assembles one record
-/// per run, reproducing `count_pair`'s attribution exactly. Attribution
-/// runs over a lazily-built per-candidate inverted path index plus
-/// reusable accumulator scratch, so a candidate's path structure is
-/// walked once no matter how many pairs it participates in.
-fn assemble_runs(nets: &[NetCandidates], hits: &[Hit]) -> Vec<(PairKey, PairCross)> {
-    let mut out: Vec<(PairKey, PairCross)> = Vec::with_capacity(hits.len());
-    let mut scratch = AssembleScratch::new(nets);
-    let mut i = 0;
-    while i < hits.len() {
-        let packed = hits[i].0;
-        let mut j = i + 1;
-        while j < hits.len() && hits[j].0 == packed {
-            j += 1;
-        }
-        let key = hit_key(packed);
-        out.push((key, scratch.assemble_pair(nets, key, &hits[i..j])));
-        i = j;
-    }
-    out
-}
-
-/// Assembles crossing records from several sorted, unique,
-/// **key-disjoint** hit runs via a k-way merge — the tile-sharded
-/// build's funnel. Equivalent to concatenating the runs, sorting, and
-/// calling [`assemble_runs`], but without ever
-/// materializing the merged hit buffer: the peak is one record list
-/// instead of two hit copies.
+/// Feeds several sorted, unique, **key-disjoint** hit runs into one
+/// record builder via a k-way merge — the tile-sharded build's funnel.
+/// Equivalent to concatenating the runs, sorting, and assembling, but
+/// without ever materializing the merged hit buffer. The builder borrows
+/// only `nets`, so the caller may free the runs before
+/// [`RecordBuilder::finish`] lays down the CSR.
 ///
 /// Disjointness (no key occurs in two runs) is what the shard retain
 /// rule guarantees; every hit of a key therefore sits contiguously in
 /// exactly one run, so each group can be assembled straight from its
 /// run slice.
-pub(crate) fn assemble_sorted_runs(
-    nets: &[NetCandidates],
+pub(crate) fn assemble_sorted_runs<'n>(
+    nets: &'n [NetCandidates],
     runs: &[&[Hit]],
-) -> Vec<(PairKey, PairCross)> {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let mut out: Vec<(PairKey, PairCross)> = Vec::with_capacity(total);
-    let mut scratch = AssembleScratch::new(nets);
+) -> RecordBuilder<'n> {
+    let pairs = runs.iter().map(|r| key_runs(r).count()).sum();
+    let mut builder = RecordBuilder::new(nets, pairs);
     let mut pos = vec![0usize; runs.len()];
     loop {
         // The run holding the smallest unconsumed key.
@@ -674,19 +856,12 @@ pub(crate) fn assemble_sorted_runs(
             }
         }
         let Some(r) = best else { break };
-        let run = runs[r];
-        let i = pos[r];
-        let packed = run[i].0;
-        let mut j = i + 1;
-        while j < run.len() && run[j].0 == packed {
-            j += 1;
-        }
-        let key = hit_key(packed);
-        out.push((key, scratch.assemble_pair(nets, key, &run[i..j])));
-        pos[r] = j;
+        let rest = &runs[r][pos[r]..];
+        let group = key_runs(rest).next().unwrap_or(rest);
+        builder.push_run(group);
+        pos[r] += group.len();
     }
-    debug_assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "runs not disjoint");
-    out
+    builder
 }
 
 /// Union bbox of each net's optical candidates (the net-level prefilter;
@@ -702,16 +877,19 @@ pub(crate) fn net_bboxes(nets: &[NetCandidates]) -> Vec<Option<BoundingBox>> {
         .collect()
 }
 
-/// Counts proper crossings between two candidates and attributes them to
-/// detector paths on both sides.
+/// Counts proper crossings between two candidates and appends their
+/// attribution to detector paths to `arena`, side A then side B. Returns
+/// `(side-A length, total)`, or `None` (appending nothing) when the
+/// candidates do not cross.
 fn count_pair(
     a: &crate::codesign::CandidateRoute,
     b: &crate::codesign::CandidateRoute,
-) -> PairCross {
+    arena: &mut Vec<PathCount>,
+) -> Option<(usize, u32)> {
     // Crossings per segment of each candidate.
-    let mut seg_a = vec![0usize; a.optical_segments.len()];
-    let mut seg_b = vec![0usize; b.optical_segments.len()];
-    let mut total = 0usize;
+    let mut seg_a = vec![0u32; a.optical_segments.len()];
+    let mut seg_b = vec![0u32; b.optical_segments.len()];
+    let mut total = 0u32;
     for (i, sa) in a.optical_segments.iter().enumerate() {
         for (j, sb) in b.optical_segments.iter().enumerate() {
             if sa.crosses(sb) {
@@ -722,13 +900,13 @@ fn count_pair(
         }
     }
     if total == 0 {
-        return PairCross::default();
+        return None;
     }
-    PairCross {
-        per_path_a: attribute(&a.paths, &seg_a),
-        per_path_b: attribute(&b.paths, &seg_b),
-        total,
-    }
+    let start = arena.len();
+    attribute(&a.paths, &seg_a, arena);
+    let len_a = arena.len() - start;
+    attribute(&b.paths, &seg_b, arena);
+    Some((len_a, total))
 }
 
 /// Per-candidate inverted path index: for each optical segment, the
@@ -767,106 +945,15 @@ fn seg_path_index(c: &crate::codesign::CandidateRoute) -> SegPathIndex {
     }
 }
 
-/// Reusable state for [`assemble_runs`]: lazily-built inverted indexes
-/// (one slot per candidate, filled the first time the candidate appears
-/// in a hit) and the path-count accumulator, zeroed between uses via the
-/// touched list.
-struct AssembleScratch {
-    cand_off: Vec<usize>,
-    inv: Vec<Option<SegPathIndex>>,
-    acc: Vec<usize>,
-    touched: Vec<u32>,
-}
-
-impl AssembleScratch {
-    fn new(nets: &[NetCandidates]) -> Self {
-        let mut cand_off = Vec::with_capacity(nets.len() + 1);
-        cand_off.push(0usize);
-        for nc in nets {
-            let prev = *cand_off.last().unwrap_or(&0);
-            cand_off.push(prev + nc.candidates.len());
-        }
-        let total = *cand_off.last().unwrap_or(&0);
-        let mut inv: Vec<Option<SegPathIndex>> = Vec::new();
-        inv.resize_with(total, || None);
-        Self {
-            cand_off,
-            inv,
-            acc: Vec::new(),
-            touched: Vec::new(),
-        }
-    }
-
-    /// Builds one pair record from the packed hits discovery found for
-    /// `key`.
-    fn assemble_pair(&mut self, nets: &[NetCandidates], key: PairKey, hits: &[Hit]) -> PairCross {
-        let (na, ca, nb, cb) = key;
-        PairCross {
-            per_path_a: self.per_path_side(nets, na, ca, hits, true),
-            per_path_b: self.per_path_side(nets, nb, cb, hits, false),
-            total: hits.len(),
-        }
-    }
-
-    /// Path attribution for one side of a pair: ascending
-    /// `(path index, count)` over paths with at least one crossing —
-    /// byte-identical to [`attribute`] over per-segment counts.
-    fn per_path_side(
-        &mut self,
-        nets: &[NetCandidates],
-        net: usize,
-        cand: usize,
-        hits: &[Hit],
-        side_a: bool,
-    ) -> Vec<(usize, usize)> {
-        let slot = self.cand_off[net] + cand;
-        if self.inv[slot].is_none() {
-            self.inv[slot] = Some(seg_path_index(&nets[net].candidates[cand]));
-        }
-        let Some(idx) = self.inv[slot].as_ref() else {
-            return Vec::new();
-        };
-        if self.acc.len() < idx.n_paths {
-            self.acc.resize(idx.n_paths, 0);
-        }
-        self.touched.clear();
-        for &(_, segs) in hits {
-            let s = if side_a {
-                segs >> 32
-            } else {
-                segs as u32 as u64
-            } as usize;
-            for &p in &idx.paths[idx.off[s] as usize..idx.off[s + 1] as usize] {
-                if self.acc[p as usize] == 0 {
-                    self.touched.push(p);
-                }
-                self.acc[p as usize] += 1;
-            }
-        }
-        self.touched.sort_unstable();
-        let out: Vec<(usize, usize)> = self
-            .touched
-            .iter()
-            .map(|&p| (p as usize, self.acc[p as usize]))
-            .collect();
-        for &p in &self.touched {
-            self.acc[p as usize] = 0;
-        }
-        out
-    }
-}
-
-/// Sums per-segment crossing counts along each detector path, keeping
+/// Sums per-segment crossing counts along each detector path, appending
 /// `(path index, count)` for paths that suffer at least one crossing.
-fn attribute(paths: &[crate::codesign::PathLoss], seg: &[usize]) -> Vec<(usize, usize)> {
-    paths
-        .iter()
-        .enumerate()
-        .filter_map(|(pi, p)| {
-            let n: usize = p.segments.iter().map(|&s| seg[s]).sum();
-            (n > 0).then_some((pi, n))
-        })
-        .collect::<Vec<_>>()
+fn attribute(paths: &[crate::codesign::PathLoss], seg: &[u32], arena: &mut Vec<PathCount>) {
+    for (pi, p) in paths.iter().enumerate() {
+        let n: u32 = p.segments.iter().map(|&s| seg[s]).sum();
+        if n > 0 {
+            arena.push((pi as u32, n));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -931,16 +1018,55 @@ mod tests {
         }
     }
 
-    /// Full structural equality: semantic value (keys + records) plus the
-    /// derived CSR arena, so a builder that corrupted neighbor lists
-    /// cannot hide behind the `PartialEq` impl.
+    /// Full structural equality: semantic value (keys, records, count
+    /// arena) plus the derived slot table and CSR arena and the reported
+    /// size, so a builder that corrupted neighbor lists cannot hide
+    /// behind the `PartialEq` impl.
     fn assert_index_eq(a: &CrossingIndex, b: &CrossingIndex, label: &str) {
         assert_eq!(a.len(), b.len(), "{label}: pair count");
         assert_eq!(a.keys, b.keys, "{label}: keys");
         assert_eq!(a.records, b.records, "{label}: records");
-        assert_eq!(a.adj_keys, b.adj_keys, "{label}: neighbor owners");
+        assert_eq!(a.arena, b.arena, "{label}: count arena");
+        assert_eq!(a.slot_off, b.slot_off, "{label}: candidate slots");
         assert_eq!(a.adj_off, b.adj_off, "{label}: neighbor offsets");
         assert_eq!(a.adj, b.adj, "{label}: neighbor arena");
+        assert_eq!(a.heap_bytes(), b.heap_bytes(), "{label}: heap bytes");
+    }
+
+    /// The neighbor CSR against a naive derivation from the pair list:
+    /// every candidate's list holds exactly the records naming it,
+    /// ascending by the other candidate, each resolving to its own record
+    /// with the owner's side first.
+    fn assert_csr_matches_pairs(idx: &CrossingIndex, nets: &[NetCandidates]) {
+        for (net, nc) in nets.iter().enumerate() {
+            for cand in 0..nc.candidates.len() {
+                let mut expected: Vec<((usize, usize), PairView<'_>)> = idx
+                    .iter()
+                    .filter_map(|((na, ca, nb, cb), v)| {
+                        if (na, ca) == (net, cand) {
+                            Some(((nb, cb), v))
+                        } else if (nb, cb) == (net, cand) {
+                            Some(((na, ca), v))
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                expected.sort_by_key(|e| e.0);
+                let got = idx.neighbors(net, cand);
+                assert_eq!(got.len(), expected.len(), "({net}, {cand}): list length");
+                for (nb, &(key, v)) in got.iter().zip(&expected) {
+                    assert_eq!(nb.key(), key, "({net}, {cand}): neighbor order");
+                    assert_eq!(idx.record(nb), v);
+                    let sides = if net < nb.net() {
+                        (v.per_path_a, v.per_path_b)
+                    } else {
+                        (v.per_path_b, v.per_path_a)
+                    };
+                    assert_eq!(idx.per_path(nb), sides, "({net}, {cand}): owner side");
+                }
+            }
+        }
     }
 
     #[test]
@@ -953,11 +1079,14 @@ mod tests {
         assert_eq!(idx.len(), 1);
         let pc = idx.pair(0, 0, 1, 0).expect("pair crosses");
         assert_eq!(pc.total, 1);
-        assert_eq!(pc.per_path_a, vec![(0, 1)]);
-        assert_eq!(pc.per_path_b, vec![(0, 1)]);
+        assert_eq!(pc.per_path_a, &[(0, 1)]);
+        assert_eq!(pc.per_path_b, &[(0, 1)]);
         // Query in both net orders.
         assert_eq!(idx.crossings_on_path(0, 0, 0, 1, 0), 1);
         assert_eq!(idx.crossings_on_path(1, 0, 0, 0, 0), 1);
+        // Key, record, two arena entries, two slot and CSR offset tables
+        // over two candidates, one neighbor entry per side.
+        assert_eq!(idx.heap_bytes(), 16 + 12 + 2 * 8 + 3 * 4 + 3 * 4 + 2 * 12);
     }
 
     #[test]
@@ -1022,7 +1151,10 @@ mod tests {
         // arm); net 1's single path suffers both.
         assert_eq!(pc.per_path_a.len(), 2);
         assert!(pc.per_path_a.iter().all(|&(_, n)| n == 1));
-        assert_eq!(pc.per_path_b, vec![(0, 2)]);
+        assert_eq!(pc.per_path_b, &[(0, 2)]);
+        // The two sides differ, so the neighbor entries' side tags show.
+        assert_eq!(idx.per_path(&idx.neighbors(1, 0)[0]).0, &[(0, 2)]);
+        assert_csr_matches_pairs(&idx, &nets);
     }
 
     #[test]
@@ -1060,20 +1192,21 @@ mod tests {
         }
         for net in 0..nets.len() {
             for nb in idx.neighbors(net, 0) {
-                let via_map = idx.pair(net, 0, nb.net, nb.cand).expect("pair exists");
+                let via_map = idx.pair(net, 0, nb.net(), nb.cand()).expect("pair exists");
                 assert_eq!(idx.record(nb), via_map);
                 let (own, other) = idx.per_path(nb);
-                if net < nb.net {
-                    assert_eq!(own, via_map.per_path_a.as_slice());
-                    assert_eq!(other, via_map.per_path_b.as_slice());
+                if net < nb.net() {
+                    assert_eq!(own, via_map.per_path_a);
+                    assert_eq!(other, via_map.per_path_b);
                 } else {
-                    assert_eq!(own, via_map.per_path_b.as_slice());
-                    assert_eq!(other, via_map.per_path_a.as_slice());
+                    assert_eq!(own, via_map.per_path_b);
+                    assert_eq!(other, via_map.per_path_a);
                 }
             }
         }
         // The vertical net crosses both diagonals.
         assert_eq!(idx.neighbors(2, 0).len(), 2);
+        assert_csr_matches_pairs(&idx, &nets);
     }
 
     #[test]
@@ -1248,6 +1381,7 @@ mod tests {
         ) {
             let nets = random_nets(&raw);
             let reference = CrossingIndex::build_reference(&nets);
+            assert_csr_matches_pairs(&reference, &nets);
             for threads in [1usize, 2, 8] {
                 let sweep = CrossingIndex::build_with(&nets, &Executor::new(threads));
                 assert_index_eq(&sweep, &reference, &format!("sweep, threads={threads}"));
@@ -1282,6 +1416,7 @@ mod tests {
             let delta = before.rebuild_delta(&nets, &[target]);
             let full = CrossingIndex::build(&nets);
             assert_index_eq(&delta, &full, "random delta vs full");
+            assert_csr_matches_pairs(&delta, &nets);
         }
     }
 }

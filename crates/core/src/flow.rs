@@ -757,7 +757,8 @@ pub(crate) fn record_lr_stats(stage: &mut operon_exec::StageScope<'_>, sel: &Sel
 /// Surfaces the crossing build's provenance into its stage record: which
 /// builder ran (`crossing_build_{brute,sweep,delta,sharded} = 1`), whether
 /// the pair tests used the executor's workers (the brute-force oracle and
-/// multi-pass sharded builds do), and the pair count. All three are pure functions of the
+/// multi-pass sharded builds do), the pair count and the index's arena
+/// bytes ([`CrossingIndex::heap_bytes`]). All are pure functions of the
 /// candidate set, so run reports stay thread-count invariant.
 pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx: &CrossingIndex) {
     let info = idx.build_info();
@@ -770,6 +771,7 @@ pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx
     stage.record(counter, 1);
     stage.record("crossing_build_parallel", info.parallel as u64);
     stage.record("crossing_pairs", idx.len() as u64);
+    stage.record("crossing_heap_bytes", idx.heap_bytes() as u64);
 }
 
 /// Surfaces the WDM stage's warm/cold network-solver counters into its

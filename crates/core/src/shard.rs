@@ -344,26 +344,26 @@ impl ShardCache {
     }
 
     /// Merges the per-pass hit lists and assembles the index through the
-    /// canonical record funnel — equivalent to a global concat + sort +
+    /// canonical record builder — equivalent to a global concat + sort +
     /// assembly, without materializing the merged hit buffer.
     /// Keeps the cache resident (the warm-session path).
     pub(crate) fn assemble(&self, nets: &[NetCandidates]) -> CrossingIndex {
-        let list = assemble_sorted_runs(nets, &self.runs());
-        CrossingIndex::from_pair_list(list, self.build_info())
+        assemble_sorted_runs(nets, &self.runs()).finish(self.build_info())
     }
 
     /// [`assemble`](Self::assemble) for one-shot builds: consumes the
-    /// cache so every per-tile hit list is freed *before* the index
-    /// arena goes up. The monolithic build must keep its global hit
-    /// buffer alive through arena assembly, so the sharded one-shot
-    /// peak (hits + records, then records + arena) stays strictly below
-    /// the unsharded peak (hits + records + arena) — the memory edge
-    /// `shard_bench` pins at 100k nets.
+    /// cache so every per-tile hit list is freed once its records are in
+    /// the arena, before the neighbor CSR goes up — the same order the
+    /// monolithic [`CrossingIndex::build_with`] follows with its one
+    /// global hit buffer, so neither build holds hits and CSR at once.
+    /// Together the per-pass lists hold the same hits as that buffer;
+    /// the two builds' peaks differ only in discovery, where the passes
+    /// sweep their involved nets concurrently.
     pub(crate) fn into_index(self, nets: &[NetCandidates]) -> CrossingIndex {
         let info = self.build_info();
-        let list = assemble_sorted_runs(nets, &self.runs());
+        let builder = assemble_sorted_runs(nets, &self.runs());
         drop(self);
-        CrossingIndex::from_pair_list(list, info)
+        builder.finish(info)
     }
 }
 

@@ -8,6 +8,7 @@
 
 use operon::config::{OperonConfig, Selector};
 use operon::flow::{FlowResult, OperonFlow};
+use operon::CrossingIndex;
 use operon_netlist::synth::{generate, SynthConfig};
 
 fn run_with_threads(threads: usize, config: &OperonConfig, seed: u64) -> FlowResult {
@@ -274,4 +275,35 @@ fn eco_rerun_is_bit_identical_across_thread_counts() {
     let eco_seq = seq.run_eco(&design, &design, &prev_seq).expect("seq eco");
     let eco_par = par.run_eco(&design, &design, &prev_par).expect("par eco");
     assert_identical(&eco_seq, &eco_par, "eco threads 8");
+}
+
+#[test]
+fn crossing_index_size_is_identical_across_thread_counts() {
+    // `heap_bytes` is computed from arena lengths, never capacities, so
+    // the run report's `crossing_heap_bytes` is a pure function of the
+    // candidate set: equal at every thread count and equal to the size of
+    // an index rebuilt from the flow's own candidates.
+    let design = generate(&SynthConfig::small(), 21);
+    let mut sizes = Vec::new();
+    for threads in [1, 2, 8] {
+        let flow = OperonFlow::new(OperonConfig::default()).with_threads(threads);
+        let result = flow.run(&design).expect("flow succeeds");
+        let report = flow.executor().report();
+        let crossing = report
+            .stages
+            .iter()
+            .find(|s| s.name == "crossing")
+            .expect("crossing stage recorded");
+        let recorded = crossing
+            .counters
+            .iter()
+            .find(|(k, _)| k == "crossing_heap_bytes")
+            .map(|&(_, v)| v)
+            .expect("crossing_heap_bytes recorded");
+        let rebuilt = CrossingIndex::build_with(&result.candidates, flow.executor());
+        assert!(!rebuilt.is_empty(), "fixture must produce crossings");
+        assert_eq!(recorded, rebuilt.heap_bytes() as u64, "threads {threads}");
+        sizes.push(recorded);
+    }
+    assert!(sizes.windows(2).all(|w| w[0] == w[1]), "sizes {sizes:?}");
 }
