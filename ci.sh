@@ -37,9 +37,6 @@ cargo run -p operon-bench --release -q --bin serve_bench -- --smoke
 echo "==> lint_bench --smoke (scan-cache identity gate)"
 cargo run -p operon-bench --release -q --bin lint_bench -- --smoke
 
-echo "==> shard_bench --smoke (tile-sharded flow identity gate)"
-cargo run -p operon-bench --release -q --bin shard_bench -- --smoke
-
 echo "==> explore_bench --smoke (warm-sweep identity gate)"
 cargo run -p operon-bench --release -q --bin explore_bench -- --smoke
 

@@ -1,11 +1,10 @@
 //! Command-line front end for the OPERON flow.
 //!
 //! ```text
-//! operon_route <design.sig>... [--threads N|auto] [--tiles RxC|N]
-//!              [--run-report FILE] [--ilp SECS] [--ilp-wave-size N]
-//!              [--capacity N] [--max-loss DB] [--max-delay PS]
-//!              [--scale N/D] [--maps] [--nets] [--svg FILE]
-//!              [--emit-trace FILE]
+//! operon_route <design.sig>... [--threads N|auto] [--run-report FILE]
+//!              [--ilp SECS] [--ilp-wave-size N] [--capacity N]
+//!              [--max-loss DB] [--max-delay PS] [--scale N/D] [--maps]
+//!              [--nets] [--svg FILE] [--emit-trace FILE]
 //! ```
 //!
 //! Reads designs in the `operon-netlist` text format (see
@@ -15,10 +14,6 @@
 //! worker count (`auto` or `0`, the default, means one per hardware
 //! thread; results are bit-identical for every count), `--run-report`
 //! writes the executor's per-stage JSON instrumentation.
-//! `--tiles COLSxROWS` (or a single integer `N` for `NxN`) shards the
-//! flow on a fixed die tile grid: co-design, crossing discovery, and LR
-//! pricing are scheduled tile by tile with a boundary reconciliation
-//! pass, producing bit-identical results to the unsharded flow.
 //! `--ilp-wave-size` sets how many branch-and-bound nodes the exact
 //! selector expands per parallel wave (default 1 = sequential best-first;
 //! the explored tree depends on the wave size but never on the thread
@@ -37,9 +32,9 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: operon_route <design.sig>... [--threads N|auto] [--tiles RxC|N] \
-         [--run-report FILE] [--ilp SECS] [--ilp-wave-size N] [--capacity N] [--max-loss DB] \
-         [--max-delay PS] [--scale N/D] [--maps] [--nets] [--svg FILE] [--emit-trace FILE]"
+        "usage: operon_route <design.sig>... [--threads N|auto] [--run-report FILE] \
+         [--ilp SECS] [--ilp-wave-size N] [--capacity N] [--max-loss DB] [--max-delay PS] \
+         [--scale N/D] [--maps] [--nets] [--svg FILE] [--emit-trace FILE]"
     );
     ExitCode::from(2)
 }
@@ -51,20 +46,6 @@ struct Options {
     scale: Option<(i64, i64)>,
     svg_path: Option<String>,
     emit_trace: bool,
-    /// Tile-shard the flow on a fixed (cols, rows) grid.
-    tiles: Option<(usize, usize)>,
-}
-
-/// Parses a `--tiles` spec: `COLSxROWS` or a single integer `N` = `NxN`.
-fn parse_tiles(spec: &str) -> Option<(usize, usize)> {
-    let (cols, rows) = match spec.split_once('x') {
-        Some((c, r)) => (c.parse::<usize>().ok()?, r.parse::<usize>().ok()?),
-        None => {
-            let n = spec.parse::<usize>().ok()?;
-            (n, n)
-        }
-    };
-    (cols > 0 && rows > 0).then_some((cols, rows))
 }
 
 fn main() -> ExitCode {
@@ -78,7 +59,6 @@ fn main() -> ExitCode {
         scale: None,
         svg_path: None,
         emit_trace: false,
-        tiles: None,
     };
     let mut threads = 0usize; // 0 = one worker per hardware thread
     let mut report_path: Option<String> = None;
@@ -100,13 +80,6 @@ fn main() -> ExitCode {
                     return usage();
                 };
                 threads = n;
-                i += 2;
-            }
-            "--tiles" => {
-                let Some(tiles) = args.get(i + 1).and_then(|s| parse_tiles(s)) else {
-                    return usage();
-                };
-                opts.tiles = Some(tiles);
                 i += 2;
             }
             "--run-report" => {
@@ -334,11 +307,9 @@ fn route_one(
 
     let config = opts.config.clone();
     let flow = OperonFlow::new(config.clone()).with_executor(exec.clone());
-    let result = match opts.tiles {
-        Some(tiles) => flow.run_sharded(&design, tiles),
-        None => flow.run(&design),
-    }
-    .map_err(|e| format!("{path}: flow failed: {e}"))?;
+    let result = flow
+        .run(&design)
+        .map_err(|e| format!("{path}: flow failed: {e}"))?;
 
     let mut out = String::new();
     let w = &mut out;

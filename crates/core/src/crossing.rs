@@ -16,13 +16,12 @@
 //!   `O((n + k) log n)`, which reports each crossing segment pair exactly
 //!   once. Candidate sets with a coordinate beyond
 //!   [`SWEEP_COORD_LIMIT`] (the bound of the sweep's exact arithmetic)
-//!   fall back to testing every segment pair. [`CrossingIndex::build_with`],
-//!   [`CrossingIndex::rebuild_delta`] and the tile-sharded passes
-//!   ([`crate::shard`]) all discover through this one function
-//!   (`discover_hits`), then funnel the packed hits through the same
-//!   global sort + assembly (see `Hit`), so the index is a pure function
-//!   of the candidate set, independent of iteration order and thread
-//!   count.
+//!   fall back to testing every segment pair. [`CrossingIndex::build_with`]
+//!   and [`CrossingIndex::rebuild_delta`] both discover through this one
+//!   function (`discover_hits`), then funnel the packed hits through the
+//!   same global sort + assembly (see `Hit`), so the index is a pure
+//!   function of the candidate set, independent of iteration order and
+//!   thread count.
 //! * **Brute force** ([`CrossingIndex::build_reference`]) — all candidate
 //!   pairs behind net- and candidate-level bounding-box prefilters (the
 //!   paper's "non-overlapped bounding boxes" variable reduction), with
@@ -53,10 +52,9 @@
 //! without a sort. The full build assembles records straight off its
 //! sorted hit runs and drops the hits before the CSR goes up;
 //! [`CrossingIndex::rebuild_delta`] merges retained records with the
-//! re-swept runs; the tile-sharded build k-way merges its per-pass runs;
-//! the brute-force oracle sorts its own pair list. Record handles are
-//! stable `u32` indexes into the key order, so handles stay valid across
-//! ECOs exactly when the rows they name are unchanged.
+//! re-swept runs; the brute-force oracle sorts its own pair list. Record
+//! handles are stable `u32` indexes into the key order, so handles stay
+//! valid across ECOs exactly when the rows they name are unchanged.
 //! [`CrossingIndex::heap_bytes`] reports the arenas' exact size.
 
 use crate::codesign::NetCandidates;
@@ -152,9 +150,6 @@ pub enum ChosenBuild {
     Sweep,
     /// Incremental [`CrossingIndex::rebuild_delta`] patch.
     Delta,
-    /// Tile-sharded build: per-tile hit discovery merged in tile order
-    /// (see [`crate::shard`]).
-    Sharded,
 }
 
 impl ChosenBuild {
@@ -164,7 +159,6 @@ impl ChosenBuild {
             ChosenBuild::BruteForce => "brute",
             ChosenBuild::Sweep => "sweep",
             ChosenBuild::Delta => "delta",
-            ChosenBuild::Sharded => "sharded",
         }
     }
 }
@@ -176,8 +170,8 @@ pub struct BuildInfo {
     /// The builder that ran.
     pub strategy: ChosenBuild,
     /// Whether pair tests were spread over the executor's workers: only
-    /// the brute-force oracle and sharded builds with more than one pass
-    /// do; full sweep builds and delta patches discover inline.
+    /// the brute-force oracle does; full sweep builds and delta patches
+    /// discover inline.
     pub parallel: bool,
 }
 
@@ -234,7 +228,7 @@ impl CrossingIndex {
     /// sweep over every candidate segment (see the module docs), then the
     /// shared assembly. The sweep is sequential, so the output is the
     /// same for every executor; the flow's parallelism lives around this
-    /// stage and in the tile-sharded build.
+    /// stage.
     pub fn build_with(nets: &[NetCandidates], _exec: &Executor) -> Self {
         let mut hits = discover_hits(nets, None);
         sort_hits(&mut hits);
@@ -257,8 +251,8 @@ impl CrossingIndex {
 
     /// The all-pairs build: scans every net pair with a bounding-box
     /// prefilter, then every candidate pair with overlapping optical
-    /// boxes. Retained as the equivalence oracle — the sweep build, delta
-    /// patches and sharded builds must produce a byte-identical index.
+    /// boxes. Retained as the equivalence oracle — the sweep build and
+    /// delta patches must produce a byte-identical index.
     pub fn build_reference(nets: &[NetCandidates]) -> Self {
         Self::build_reference_with(nets, &Executor::sequential())
     }
@@ -533,7 +527,7 @@ fn to_u32(n: usize) -> u32 {
 /// per-candidate inverted path indexes plus reusable accumulator scratch,
 /// so a candidate's path structure is walked once no matter how many
 /// pairs it participates in.
-pub(crate) struct RecordBuilder<'n> {
+struct RecordBuilder<'n> {
     nets: &'n [NetCandidates],
     keys: Vec<[u32; 4]>,
     records: Vec<Record>,
@@ -639,7 +633,7 @@ impl<'n> RecordBuilder<'n> {
     /// Lays down the neighbor CSR with a counting pass in record order
     /// (each owner's list comes out ascending by the other candidate)
     /// and returns the finished index.
-    pub(crate) fn finish(self, info: BuildInfo) -> CrossingIndex {
+    fn finish(self, info: BuildInfo) -> CrossingIndex {
         let Self {
             keys,
             records,
@@ -701,7 +695,7 @@ impl<'n> RecordBuilder<'n> {
 /// order (all handles are `u32`), and the crossing segment indexes
 /// folded into a `u64`. Sorting millions of these is a fraction of the
 /// cost of the 40-byte tuple they replace.
-pub(crate) type Hit = (u128, u64);
+type Hit = (u128, u64);
 
 #[inline]
 fn pack_hit(p: &SegRef, q: &SegRef) -> Hit {
@@ -726,9 +720,10 @@ fn hit_key(packed: u128) -> [u32; 4] {
 }
 
 /// The `(net_a, net_b)` pair of a packed hit key (`net_a < net_b`) —
-/// the tile-sharded build's retain filters classify hits by net id.
+/// [`CrossingIndex::rebuild_delta`]'s retain filter keeps the hits that
+/// touch a changed net.
 #[inline]
-pub(crate) fn hit_nets(packed: u128) -> (usize, usize) {
+fn hit_nets(packed: u128) -> (usize, usize) {
     ((packed >> 96) as usize, (packed >> 32) as u32 as usize)
 }
 
@@ -773,7 +768,7 @@ fn in_sweep_range(p: operon_geom::Point) -> bool {
 /// coordinate lies beyond the sweep's exactness bound. Either way each
 /// crossing segment pair is reported exactly once, so the output is
 /// unique but unsorted; callers filter, then [`sort_hits`].
-pub(crate) fn discover_hits(nets: &[NetCandidates], involved: Option<&[bool]>) -> Vec<Hit> {
+fn discover_hits(nets: &[NetCandidates], involved: Option<&[bool]>) -> Vec<Hit> {
     let segs = collect_segments(nets, involved);
     if segs
         .iter()
@@ -787,7 +782,7 @@ pub(crate) fn discover_hits(nets: &[NetCandidates], involved: Option<&[bool]>) -
 
 /// Sorts discovered hits into [`PairKey`] order. Discovery never reports
 /// a segment pair twice, so no dedup pass is needed; debug builds check.
-pub(crate) fn sort_hits(hits: &mut [Hit]) {
+fn sort_hits(hits: &mut [Hit]) {
     hits.sort_unstable();
     debug_assert!(
         hits.windows(2).all(|w| w[0] != w[1]),
@@ -829,44 +824,10 @@ fn brute_hits(segs: &[SegRef]) -> Vec<Hit> {
     hits
 }
 
-/// Feeds several sorted, unique, **key-disjoint** hit runs into one
-/// record builder via a k-way merge — the tile-sharded build's funnel.
-/// Equivalent to concatenating the runs, sorting, and assembling, but
-/// without ever materializing the merged hit buffer. The builder borrows
-/// only `nets`, so the caller may free the runs before
-/// [`RecordBuilder::finish`] lays down the CSR.
-///
-/// Disjointness (no key occurs in two runs) is what the shard retain
-/// rule guarantees; every hit of a key therefore sits contiguously in
-/// exactly one run, so each group can be assembled straight from its
-/// run slice.
-pub(crate) fn assemble_sorted_runs<'n>(
-    nets: &'n [NetCandidates],
-    runs: &[&[Hit]],
-) -> RecordBuilder<'n> {
-    let pairs = runs.iter().map(|r| key_runs(r).count()).sum();
-    let mut builder = RecordBuilder::new(nets, pairs);
-    let mut pos = vec![0usize; runs.len()];
-    loop {
-        // The run holding the smallest unconsumed key.
-        let mut best: Option<usize> = None;
-        for (r, run) in runs.iter().enumerate() {
-            if pos[r] < run.len() && best.is_none_or(|b: usize| run[pos[r]].0 < runs[b][pos[b]].0) {
-                best = Some(r);
-            }
-        }
-        let Some(r) = best else { break };
-        let rest = &runs[r][pos[r]..];
-        let group = key_runs(rest).next().unwrap_or(rest);
-        builder.push_run(group);
-        pos[r] += group.len();
-    }
-    builder
-}
-
-/// Union bbox of each net's optical candidates (the net-level prefilter;
-/// also the tile-sharded build's interior/boundary classifier).
-pub(crate) fn net_bboxes(nets: &[NetCandidates]) -> Vec<Option<BoundingBox>> {
+/// Union bbox of each net's optical candidates: the brute-force oracle's
+/// net-level prefilter ([`CrossingIndex::build_reference`]) and
+/// [`CrossingIndex::rebuild_delta`]'s dirty-neighborhood test.
+fn net_bboxes(nets: &[NetCandidates]) -> Vec<Option<BoundingBox>> {
     nets.iter()
         .map(|nc| {
             nc.candidates
@@ -1263,9 +1224,9 @@ mod tests {
     #[test]
     fn every_build_path_matches_reference_beyond_the_sweep_coord_limit() {
         // Translated past the sweep's exact-arithmetic bound, the full
-        // build, a delta patch and the tile-sharded build must all take
-        // the all-pairs fallback instead of tripping the sweep's range
-        // assert, and still match the brute-force reference exactly.
+        // build and a delta patch must both take the all-pairs fallback
+        // instead of tripping the sweep's range assert, and still match
+        // the brute-force reference exactly.
         let mut nets = dispersed_nets_at(SWEEP_COORD_LIMIT);
         let reference = CrossingIndex::build_reference(&nets);
         assert!(!reference.is_empty());
@@ -1283,19 +1244,6 @@ mod tests {
         let delta = before.rebuild_delta(&nets, &[4, 9]);
         assert_index_eq(&delta, &reference, "delta");
         assert!(delta.pair(4, 0, 12, 0).is_some());
-
-        let die = BoundingBox::new(Point::new(o, o - 10), Point::new(o + 5010, o + 20));
-        for (cols, rows) in [(1, 1), (2, 2), (4, 4)] {
-            let grid = crate::shard::TileGrid::new(die, cols, rows);
-            for threads in [1, 2, 8] {
-                let sharded = crate::shard::build_sharded(&nets, &grid, &Executor::new(threads));
-                assert_index_eq(
-                    &sharded,
-                    &reference,
-                    &format!("sharded {cols}x{rows}, threads={threads}"),
-                );
-            }
-        }
     }
 
     #[test]

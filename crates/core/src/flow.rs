@@ -341,132 +341,6 @@ impl OperonFlow {
         })
     }
 
-    /// Runs the full flow sharded on a fixed `cols × rows` tile grid over
-    /// the design's die (see [`crate::shard`]).
-    ///
-    /// Candidate generation and LR pricing iterate tile by tile (boundary
-    /// nets last, re-priced against the merged crossing index), and the
-    /// crossing index is built per tile and merged in tile order. The
-    /// result is **bit-identical** to [`run`](OperonFlow::run) for every
-    /// tile dimension and thread count — sharding changes the work
-    /// schedule and the peak working set, never the answer.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](OperonFlow::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tiles` has a zero dimension.
-    pub fn run_sharded(
-        &self,
-        design: &Design,
-        tiles: (usize, usize),
-    ) -> Result<FlowResult, OperonError> {
-        self.config.validate()?;
-        if design.groups().is_empty() {
-            return Err(OperonError::EmptyDesign);
-        }
-        let grid = crate::shard::TileGrid::new(design.die(), tiles.0, tiles.1);
-        let mut times = StageTimes::default();
-
-        // Stage 1: signal processing (global — clustering is per group
-        // and already cheap).
-        let t = operon_exec::Stopwatch::start();
-        let hyper_nets = {
-            let mut stage = self.exec.stage("clustering");
-            self.label_fingerprint(&mut stage);
-            build_hyper_nets(design, &self.config.cluster)
-        };
-        times.clustering = t.elapsed();
-
-        let config = self
-            .config
-            .resolved_for(hyper_nets.iter().map(|n| n.bit_count()));
-
-        // Stage 2: co-design, scheduled tile by tile over the hyper-pin
-        // bboxes. Each DP is an independent pure function of its net, so
-        // the schedule only changes locality, not results.
-        let t = operon_exec::Stopwatch::start();
-        let candidates: Vec<NetCandidates> = {
-            let _stage = self.exec.stage("codesign");
-            let pin_boxes: Vec<Option<operon_geom::BoundingBox>> = hyper_nets
-                .iter()
-                .map(|net| {
-                    operon_geom::BoundingBox::from_points(net.pins().iter().map(|p| p.location()))
-                })
-                .collect();
-            let order = crate::shard::ShardPartition::new(&pin_boxes, &grid).schedule();
-            crate::shard::ordered_map_indexed(&self.exec, &hyper_nets, Some(&order), |i, net| {
-                generate_candidates(net, i, &config)
-            })
-        };
-        times.codesign = t.elapsed();
-
-        // Stage 3: per-tile crossing discovery + ordered merge, then the
-        // selection with the tile schedule (boundary nets price last,
-        // against the merged index).
-        let t = operon_exec::Stopwatch::start();
-        let bboxes = crate::crossing::net_bboxes(&candidates);
-        let part = crate::shard::ShardPartition::new(&bboxes, &grid);
-        let crossings = {
-            let mut stage = self.exec.stage("crossing");
-            let idx = crate::shard::build_cache_with(
-                &candidates,
-                grid,
-                &bboxes,
-                part.clone(),
-                &self.exec,
-            )
-            .into_index(&candidates);
-            record_crossing_stats(&mut stage, &idx);
-            idx
-        };
-        times.crossing = t.elapsed();
-
-        let selection = {
-            let mut stage = self.exec.stage("selection");
-            let order = part.schedule();
-            let sel = select_in_ordered(
-                &candidates,
-                &crossings,
-                &config,
-                &self.exec,
-                &mut crate::lr::LrWorkspace::new(),
-                Some(&order),
-            )?;
-            record_ilp_stats(&mut stage, &sel);
-            record_lr_stats(&mut stage, &sel);
-            sel
-        };
-        times.selection = selection.elapsed;
-        debug_assert!(selection_feasible(
-            &candidates,
-            &crossings,
-            &selection.choice,
-            &config.optical
-        ));
-
-        // Stage 4: WDM placement + assignment (global — waveguide
-        // sharing spans tiles by definition).
-        let t = operon_exec::Stopwatch::start();
-        let wdm = {
-            let mut stage = self.exec.stage("wdm");
-            let plan = wdm::plan_with(&candidates, &selection.choice, &config.optical, &self.exec)?;
-            record_wdm_stats(&mut stage, &plan);
-            plan
-        };
-        times.wdm = t.elapsed();
-
-        Ok(FlowResult {
-            hyper_nets,
-            candidates,
-            selection,
-            wdm,
-            times,
-        })
-    }
-
     /// Incrementally re-runs the flow after an engineering change order:
     /// groups identical to `previous_design` reuse the clustering and
     /// co-design candidates of `previous`; only changed, added, or
@@ -689,26 +563,11 @@ pub(crate) fn select_in(
     exec: &Executor,
     lr_ws: &mut crate::lr::LrWorkspace,
 ) -> Result<SelectionResult, OperonError> {
-    select_in_ordered(candidates, crossings, config, exec, lr_ws, None)
-}
-
-/// [`select_in`] with the LR pricing maps iterated in an explicit net
-/// order (the sharded flow's tile schedule; `None` = global net order).
-/// Selection results are bit-identical for every schedule.
-pub(crate) fn select_in_ordered(
-    candidates: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-    lr_ws: &mut crate::lr::LrWorkspace,
-    order: Option<&[u32]>,
-) -> Result<SelectionResult, OperonError> {
     match config.selector {
         Selector::Ilp { time_limit_secs } => {
             // Warm-start the exact solver with the fast LR heuristic so
             // limit-terminated solves still return a strong incumbent.
-            let warm =
-                crate::lr::select_lr_in_ordered(candidates, crossings, config, exec, lr_ws, order);
+            let warm = crate::lr::select_lr_in(candidates, crossings, config, exec, lr_ws);
             let mut ilp = select_ilp_with(
                 candidates,
                 crossings,
@@ -721,8 +580,8 @@ pub(crate) fn select_in_ordered(
             ilp.lr_stats = warm.lr_stats;
             Ok(ilp)
         }
-        Selector::LagrangianRelaxation => Ok(crate::lr::select_lr_in_ordered(
-            candidates, crossings, config, exec, lr_ws, order,
+        Selector::LagrangianRelaxation => Ok(crate::lr::select_lr_in(
+            candidates, crossings, config, exec, lr_ws,
         )),
     }
 }
@@ -755,10 +614,10 @@ pub(crate) fn record_lr_stats(stage: &mut operon_exec::StageScope<'_>, sel: &Sel
 }
 
 /// Surfaces the crossing build's provenance into its stage record: which
-/// builder ran (`crossing_build_{brute,sweep,delta,sharded} = 1`), whether
-/// the pair tests used the executor's workers (the brute-force oracle and
-/// multi-pass sharded builds do), the pair count and the index's arena
-/// bytes ([`CrossingIndex::heap_bytes`]). All are pure functions of the
+/// builder ran (`crossing_build_{brute,sweep,delta} = 1`), whether the
+/// pair tests used the executor's workers (only the brute-force oracle
+/// does), the pair count and the index's arena bytes
+/// ([`CrossingIndex::heap_bytes`]). All are pure functions of the
 /// candidate set, so run reports stay thread-count invariant.
 pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx: &CrossingIndex) {
     let info = idx.build_info();
@@ -766,7 +625,6 @@ pub(crate) fn record_crossing_stats(stage: &mut operon_exec::StageScope<'_>, idx
         crate::crossing::ChosenBuild::BruteForce => "crossing_build_brute",
         crate::crossing::ChosenBuild::Sweep => "crossing_build_sweep",
         crate::crossing::ChosenBuild::Delta => "crossing_build_delta",
-        crate::crossing::ChosenBuild::Sharded => "crossing_build_sharded",
     };
     stage.record(counter, 1);
     stage.record("crossing_build_parallel", info.parallel as u64);

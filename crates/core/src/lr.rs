@@ -181,33 +181,13 @@ pub fn select_lr_in(
     exec: &Executor,
     ws: &mut LrWorkspace,
 ) -> SelectionResult {
-    select_lr_in_ordered(nets, crossings, config, exec, ws, None)
-}
-
-/// [`select_lr_in`] with the per-net parallel maps iterated in an
-/// explicit net `order` (the tile-sharded flow's schedule: interior
-/// nets tile by tile, boundary nets last, so the boundary chunk prices
-/// against the merged crossing index as the reconciliation pass).
-/// Results are scattered back to global net positions; since the two
-/// maps are pure per-net functions of the frozen previous iterate, the
-/// outcome is bit-identical to [`select_lr_in`] for every schedule and
-/// thread count. The sequential multiplier updates, convergence test,
-/// and repair pass are untouched — they stay in global net order.
-pub fn select_lr_in_ordered(
-    nets: &[NetCandidates],
-    crossings: &CrossingIndex,
-    config: &OperonConfig,
-    exec: &Executor,
-    ws: &mut LrWorkspace,
-    order: Option<&[u32]>,
-) -> SelectionResult {
     let start = operon_exec::Stopwatch::start();
     let lib = &config.optical;
     let lambda = &mut ws.lambda;
     lambda.init(nets, lib);
 
     // Start from the unloaded greedy selection.
-    let mut choice: Vec<usize> = crate::shard::ordered_map_indexed(exec, nets, order, |i, nc| {
+    let mut choice: Vec<usize> = exec.par_map_indexed(nets, |i, nc| {
         best_candidate(nc, i, lambda, None, crossings, lib)
     });
 
@@ -221,7 +201,7 @@ pub fn select_lr_in_ordered(
         stats.load_evals += nets.len() as u64;
         // Select per net against the previous iterate (line 5).
         let previous = choice;
-        choice = crate::shard::ordered_map_indexed(exec, nets, order, |i, nc| {
+        choice = exec.par_map_indexed(nets, |i, nc| {
             best_candidate(nc, i, lambda, Some(&previous), crossings, lib)
         });
 
@@ -229,7 +209,7 @@ pub fn select_lr_in_ordered(
         // loaded losses are pure per-net functions of the frozen
         // `choice`, so they batch-evaluate in parallel; the multiplier
         // updates below consume them in net order.
-        let loads: Vec<Vec<f64>> = crate::shard::ordered_map_indexed(exec, nets, order, |i, _| {
+        let loads: Vec<Vec<f64>> = exec.par_map_indexed(nets, |i, _| {
             loaded_path_losses(nets, crossings, &choice, i, lib)
         });
         let mut total_violation = 0.0f64;

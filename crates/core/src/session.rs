@@ -21,10 +21,6 @@
 //! * when every reused hyper net keeps its dense index, the crossing
 //!   index is patched via [`CrossingIndex::rebuild_delta`] instead of
 //!   rebuilt;
-//! * tile-sharded sessions ([`WarmSession::with_tiles`]) additionally
-//!   keep each tile's discovered hit list; an ECO re-runs crossing
-//!   discovery only on tiles whose involved nets changed and re-merges
-//!   the lists through the canonical funnel;
 //! * selection re-runs globally (a local change can shift the crossing
 //!   coupling anywhere), on the session's resident LR workspace;
 //! * WDM planning re-runs via [`wdm::plan_resident_with`], and the
@@ -36,11 +32,10 @@
 use crate::codesign::{generate_candidates, NetCandidates};
 use crate::config::{DirtyStage, OperonConfig};
 use crate::flow::{
-    record_crossing_stats, record_ilp_stats, record_lr_stats, record_wdm_stats, select_in_ordered,
+    record_crossing_stats, record_ilp_stats, record_lr_stats, record_wdm_stats, select_in,
 };
 use crate::formulation::SelectionResult;
 use crate::lr::{LrStats, LrWorkspace};
-use crate::shard::{ShardCache, TileGrid};
 use crate::wdm::{self, ResidentAssignment, WdmPlan, WdmProbe, WdmStats};
 use crate::{CrossingIndex, OperonError};
 use operon_cluster::{build_hyper_nets, HyperNet, HyperNetId};
@@ -71,7 +66,7 @@ pub struct SessionStats {
     /// crossing, selection, WDM) answered from resident artifacts,
     /// summed over every route. Cached routes count all five; a
     /// config-partial route counts its clean prefix; ECO routes count
-    /// zero (their reuse is finer-grained — see the group/net/tile
+    /// zero (their reuse is finer-grained — see the group and net
     /// counters).
     pub stages_reused: u64,
     /// Whole pipeline stages re-run, summed over every route.
@@ -88,13 +83,6 @@ pub struct SessionStats {
     pub crossing_delta_rebuilds: u64,
     /// Crossing indexes built from scratch.
     pub crossing_full_builds: u64,
-    /// Sharded sessions only: tile passes whose cached hit lists were
-    /// reused across an ECO (involved set unchanged, no involved net
-    /// touched).
-    pub tiles_reused: u64,
-    /// Sharded sessions only: tile/boundary passes that re-ran
-    /// discovery.
-    pub tiles_resharded: u64,
     /// WDM deletion what-if probes run.
     pub probes: u64,
     /// Configuration replacements.
@@ -140,10 +128,6 @@ struct WarmState {
     hyper_nets: Vec<HyperNet>,
     candidates: Vec<NetCandidates>,
     crossings: CrossingIndex,
-    /// The sharded crossing build's resident per-tile state, kept so
-    /// ECOs re-run discovery only on dirty tiles. `None` for unsharded
-    /// sessions.
-    shard: Option<ShardCache>,
     selection: SelectionResult,
     wdm: WdmPlan,
     resident: ResidentAssignment,
@@ -172,10 +156,6 @@ pub struct WarmSession {
     config: OperonConfig,
     exec: Executor,
     design: Design,
-    /// Tile-shard the crossing stage on this fixed grid (cols, rows).
-    /// `None` routes monolithically. Purely a scheduling choice — the
-    /// resident result is identical either way.
-    tiles: Option<(usize, usize)>,
     state: Option<WarmState>,
     /// First pipeline stage the resident state is stale for, escalated
     /// across `set_config` calls since the last route. Meaningful only
@@ -205,30 +185,11 @@ impl WarmSession {
             config,
             exec,
             design,
-            tiles: None,
             state: None,
             dirty: DirtyStage::Clean,
             stats: SessionStats::default(),
             lr_ws: LrWorkspace::new(),
         })
-    }
-
-    /// Shards the crossing stage on a fixed `cols` × `rows` tile grid:
-    /// cold routes run the per-tile discovery passes concurrently, and
-    /// ECOs re-run discovery only on tiles whose involved nets changed.
-    /// Results stay identical to the unsharded session — sharding is a
-    /// schedule, not an approximation. Drops any resident state.
-    ///
-    /// # Panics
-    ///
-    /// When `cols` or `rows` is zero.
-    #[must_use]
-    pub fn with_tiles(mut self, cols: usize, rows: usize) -> Self {
-        assert!(cols > 0 && rows > 0, "tile grid needs at least one tile");
-        self.tiles = Some((cols, rows));
-        self.state = None;
-        self.dirty = DirtyStage::Clean;
-        self
     }
 
     /// The current design.
@@ -520,21 +481,11 @@ impl WarmSession {
             out
         };
         self.stats.nets_recoded += candidates.len() as u64;
-        let (crossings, shard) = {
+        let crossings = {
             let mut stage = self.exec.stage("crossing");
-            let (idx, shard) = match self.tiles {
-                Some((cols, rows)) => {
-                    let grid = TileGrid::new(self.design.die(), cols, rows);
-                    let cache = crate::shard::build_cache(&candidates, grid, &self.exec);
-                    let resharded = cache.pass_count() as u64;
-                    stage.record("tiles_resharded", resharded);
-                    self.stats.tiles_resharded += resharded;
-                    (cache.assemble(&candidates), Some(cache))
-                }
-                None => (CrossingIndex::build_with(&candidates, &self.exec), None),
-            };
+            let idx = CrossingIndex::build_with(&candidates, &self.exec);
             record_crossing_stats(&mut stage, &idx);
-            (idx, shard)
+            idx
         };
         self.stats.crossing_full_builds += 1;
         self.finish_route(
@@ -542,7 +493,6 @@ impl WarmSession {
             hyper_nets,
             candidates,
             crossings,
-            shard,
             false,
             DirtyStage::Clustering,
         )
@@ -599,7 +549,6 @@ impl WarmSession {
                 prev.hyper_nets,
                 prev.candidates,
                 prev.crossings,
-                prev.shard,
                 true,
                 dirty,
             ),
@@ -615,26 +564,14 @@ impl WarmSession {
                     out
                 };
                 self.stats.nets_recoded += candidates.len() as u64;
-                let (crossings, shard) = {
+                let crossings = {
                     let mut stage = self.exec.stage("crossing");
-                    let (idx, shard) = match self.tiles {
-                        Some((cols, rows)) => {
-                            let grid = TileGrid::new(self.design.die(), cols, rows);
-                            let cache = crate::shard::build_cache(&candidates, grid, &self.exec);
-                            let resharded = cache.pass_count() as u64;
-                            stage.record("tiles_resharded", resharded);
-                            self.stats.tiles_resharded += resharded;
-                            (cache.assemble(&candidates), Some(cache))
-                        }
-                        None => (CrossingIndex::build_with(&candidates, &self.exec), None),
-                    };
+                    let idx = CrossingIndex::build_with(&candidates, &self.exec);
                     record_crossing_stats(&mut stage, &idx);
-                    (idx, shard)
+                    idx
                 };
                 self.stats.crossing_full_builds += 1;
-                self.finish_route(
-                    resolved, hyper_nets, candidates, crossings, shard, true, dirty,
-                )
+                self.finish_route(resolved, hyper_nets, candidates, crossings, true, dirty)
             }
         }
     }
@@ -756,58 +693,24 @@ impl WarmSession {
         };
         let hyper_nets: Vec<HyperNet> = renumbered.into_iter().map(|(net, _)| net).collect();
 
-        let (crossings, shard) = {
+        let crossings = {
             let mut stage = self.exec.stage("crossing");
-            let (idx, shard) = match self.tiles {
-                Some((cols, rows)) => {
-                    let grid = TileGrid::new(self.design.die(), cols, rows);
-                    // A cached tile's hit list keys nets by dense index,
-                    // so reuse needs the same index stability as the
-                    // delta patch — and the same grid.
-                    let cache = match prev.shard {
-                        Some(ref prev_cache) if delta_ok && prev_cache.grid == grid => {
-                            let (cache, reused, resharded) = crate::shard::refresh_cache(
-                                prev_cache,
-                                &candidates,
-                                &changed,
-                                &self.exec,
-                            );
-                            stage.record("tiles_reused", reused);
-                            stage.record("tiles_resharded", resharded);
-                            self.stats.tiles_reused += reused;
-                            self.stats.tiles_resharded += resharded;
-                            cache
-                        }
-                        _ => {
-                            self.stats.crossing_full_builds += 1;
-                            let cache = crate::shard::build_cache(&candidates, grid, &self.exec);
-                            let resharded = cache.pass_count() as u64;
-                            stage.record("tiles_resharded", resharded);
-                            self.stats.tiles_resharded += resharded;
-                            cache
-                        }
-                    };
-                    (cache.assemble(&candidates), Some(cache))
-                }
-                None if delta_ok => {
-                    stage.record("crossing_delta_rebuild", 1);
-                    self.stats.crossing_delta_rebuilds += 1;
-                    (prev.crossings.rebuild_delta(&candidates, &changed), None)
-                }
-                None => {
-                    self.stats.crossing_full_builds += 1;
-                    (CrossingIndex::build_with(&candidates, &self.exec), None)
-                }
+            let idx = if delta_ok {
+                stage.record("crossing_delta_rebuild", 1);
+                self.stats.crossing_delta_rebuilds += 1;
+                prev.crossings.rebuild_delta(&candidates, &changed)
+            } else {
+                self.stats.crossing_full_builds += 1;
+                CrossingIndex::build_with(&candidates, &self.exec)
             };
             record_crossing_stats(&mut stage, &idx);
-            (idx, shard)
+            idx
         };
         self.finish_route(
             resolved,
             hyper_nets,
             candidates,
             crossings,
-            shard,
             true,
             DirtyStage::Clustering,
         )
@@ -818,33 +721,26 @@ impl WarmSession {
     /// `dirty` is the first re-run pipeline stage, for the reuse
     /// accounting (cold and ECO routes pass `Clustering`: every stage
     /// re-ran at whole-stage granularity).
-    #[allow(clippy::too_many_arguments)]
     fn finish_route(
         &mut self,
         resolved: OperonConfig,
         hyper_nets: Vec<HyperNet>,
         candidates: Vec<NetCandidates>,
         crossings: CrossingIndex,
-        shard: Option<ShardCache>,
         warm: bool,
         dirty: DirtyStage,
     ) -> Result<RouteSummary, OperonError> {
-        // Sharded sessions price net-parallel maps on the tile schedule
-        // (interior tiles in order, boundary last); the scatter restores
-        // net order, so results match the unsharded schedule exactly.
-        let order = shard.as_ref().map(|cache| cache.part.schedule());
         let selection = {
             let mut stage = self.exec.stage("selection");
             if dirty == DirtyStage::Selection {
                 self.label_fingerprint(&mut stage);
             }
-            let sel = select_in_ordered(
+            let sel = select_in(
                 &candidates,
                 &crossings,
                 &resolved,
                 &self.exec,
                 &mut self.lr_ws,
-                order.as_deref(),
             )?;
             record_ilp_stats(&mut stage, &sel);
             record_lr_stats(&mut stage, &sel);
@@ -870,7 +766,6 @@ impl WarmSession {
             hyper_nets,
             candidates,
             crossings,
-            shard,
             selection,
             wdm,
             resident,
@@ -959,128 +854,6 @@ mod tests {
         assert!(s.is_routed());
         assert_eq!(s.fingerprint(), fp);
         assert_eq!(s.route().unwrap().power_mw, routed.power_mw);
-    }
-
-    /// A 2 cm die split into four quadrants, one long optical-capable
-    /// bus interior to each, plus a die-spanning diagonal bus that stays
-    /// boundary under any non-trivial tile grid. Hand-placed so a 2x2
-    /// shard has one interior net per tile — ECOs touching one quadrant
-    /// must leave the other three tiles' cached hit lists untouched.
-    fn quadrant_design() -> Design {
-        let die = operon_geom::BoundingBox::new(Point::new(0, 0), Point::new(19_999, 19_999));
-        let mut d = Design::new("quad", die);
-        let quads = [
-            (500i64, 500i64),
-            (10_500, 500),
-            (500, 10_500),
-            (10_500, 10_500),
-        ];
-        for (g, (qx, qy)) in quads.iter().enumerate() {
-            let bits = (0..4)
-                .map(|i| {
-                    Bit::new(
-                        BitId::new(i as u32),
-                        Point::new(*qx, qy + 12 * i as i64),
-                        vec![Point::new(qx + 8300, qy + 8300 + 12 * i as i64)],
-                    )
-                })
-                .collect();
-            d.push_group(SignalGroup::new(
-                GroupId::new(g as u32),
-                format!("quad{g}"),
-                bits,
-            ));
-        }
-        let bits = (0..4)
-            .map(|i| {
-                Bit::new(
-                    BitId::new(i as u32),
-                    Point::new(700, 700 + 12 * i as i64),
-                    vec![Point::new(19_000, 19_000 + 12 * i as i64)],
-                )
-            })
-            .collect();
-        d.push_group(SignalGroup::new(GroupId::new(4), "diag", bits));
-        d
-    }
-
-    #[test]
-    fn sharded_session_matches_unsharded_across_ecos() {
-        let design = quadrant_design();
-        for threads in [1, 2, 8] {
-            let mut plain = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
-            .unwrap();
-            let mut sharded = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
-            .unwrap()
-            .with_tiles(2, 2);
-
-            let a = plain.route().unwrap();
-            let b = sharded.route().unwrap();
-            assert_eq!(a, b, "cold sharded route diverged at {threads} threads");
-
-            // An appended bus interior to quadrant 0 keeps every prior
-            // net's dense index, so only tile 0 re-runs discovery.
-            let p = Point::new(600, 600);
-            let q = Point::new(8_800, 8_800);
-            let a = plain.add_bus("eco", 4, p, q, 12).unwrap();
-            let b = sharded.add_bus("eco", 4, p, q, 12).unwrap();
-            assert_eq!(a, b, "post-ECO sharded route diverged at {threads} threads");
-
-            // Nudging quadrant 3's bus dirties only tile 3.
-            let a = plain.move_pins(3, 15, -9).unwrap();
-            let b = sharded.move_pins(3, 15, -9).unwrap();
-            assert_eq!(a.power_mw, b.power_mw);
-            assert_eq!(a.wdm_final, b.wdm_final);
-
-            let stats = sharded.stats();
-            assert_eq!(
-                stats.tiles_reused, 6,
-                "each ECO must reuse the three untouched tiles (stats: {stats:?})"
-            );
-            assert_eq!(
-                stats.tiles_resharded,
-                5 + 2,
-                "cold build runs all five passes; each ECO re-runs one tile"
-            );
-            assert_eq!(plain.fingerprint(), sharded.fingerprint());
-
-            // The resident result also matches a fresh monolithic run.
-            let fresh = OperonFlow::new(OperonConfig::default())
-                .run(sharded.design())
-                .unwrap();
-            assert_eq!(fresh.selection.choice, sharded.selection().unwrap().choice);
-        }
-    }
-
-    #[test]
-    fn sharded_session_stats_are_thread_invariant() {
-        let design = generate(&SynthConfig::medium(), 5);
-        let mut baseline = None;
-        for threads in [1, 2, 8] {
-            let mut s = WarmSession::open(
-                design.clone(),
-                OperonConfig::default(),
-                Executor::new(threads),
-            )
-            .unwrap()
-            .with_tiles(2, 2);
-            s.route().unwrap();
-            s.add_bus("w", 3, Point::new(64, 64), Point::new(512, 512), 8)
-                .unwrap();
-            let stats = s.close();
-            match &baseline {
-                None => baseline = Some(stats),
-                Some(b) => assert_eq!(*b, stats, "stats diverged at {threads} threads"),
-            }
-        }
     }
 
     #[test]

@@ -51,12 +51,20 @@ fn missing_argument_prints_usage() {
 #[test]
 fn unknown_flag_is_rejected() {
     let path = write_design("flag");
-    let out = bin()
-        .args([path.to_str().expect("utf8"), "--frobnicate"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown argument"));
+    // A flag the CLI no longer accepts (the removed tile grid) must be
+    // rejected with the usage exit code, not silently ignored.
+    for flag in [&["--frobnicate"][..], &["--tiles", "4x4"]] {
+        let out = bin()
+            .arg(path.to_str().expect("utf8"))
+            .args(flag)
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown argument"),
+            "{flag:?}"
+        );
+    }
 }
 
 #[test]

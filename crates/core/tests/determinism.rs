@@ -11,8 +11,13 @@ use operon::flow::{FlowResult, OperonFlow};
 use operon::CrossingIndex;
 use operon_netlist::synth::{generate, SynthConfig};
 
-fn run_with_threads(threads: usize, config: &OperonConfig, seed: u64) -> FlowResult {
-    let design = generate(&SynthConfig::small(), seed);
+fn run_with_threads(
+    threads: usize,
+    config: &OperonConfig,
+    synth: &SynthConfig,
+    seed: u64,
+) -> FlowResult {
+    let design = generate(synth, seed);
     OperonFlow::new(config.clone())
         .with_threads(threads)
         .run(&design)
@@ -47,12 +52,20 @@ fn assert_identical(a: &FlowResult, b: &FlowResult, label: &str) {
 
 #[test]
 fn lr_flow_is_bit_identical_across_thread_counts() {
-    for seed in [21, 1718] {
+    // Two paper-scale designs plus one die-scale design (5 cm die, wide
+    // buses between hub clusters), the only die-scale flow under test.
+    let inputs = [
+        (SynthConfig::small(), 21),
+        (SynthConfig::small(), 1718),
+        (SynthConfig::die_scale(2_000), 2018),
+    ];
+    for (synth, seed) in &inputs {
         let config = OperonConfig::default();
-        let one = run_with_threads(1, &config, seed);
+        let one = run_with_threads(1, &config, synth, *seed);
         for threads in [2, 8] {
-            let many = run_with_threads(threads, &config, seed);
-            assert_identical(&one, &many, &format!("seed {seed}, threads {threads}"));
+            let many = run_with_threads(threads, &config, synth, *seed);
+            let label = format!("{} seed {seed}, threads {threads}", synth.name);
+            assert_identical(&one, &many, &label);
         }
     }
 }
@@ -65,8 +78,8 @@ fn ilp_flow_is_bit_identical_across_thread_counts() {
         },
         ..OperonConfig::default()
     };
-    let one = run_with_threads(1, &config, 21);
-    let eight = run_with_threads(8, &config, 21);
+    let one = run_with_threads(1, &config, &SynthConfig::small(), 21);
+    let eight = run_with_threads(8, &config, &SynthConfig::small(), 21);
     assert_identical(&one, &eight, "ilp threads 8");
 }
 
@@ -87,7 +100,7 @@ fn ilp_flow_is_bit_identical_across_threads_at_every_wave_size() {
             ..OperonConfig::default()
         };
         config.optical.max_loss_db = 4.0;
-        let one = run_with_threads(1, &config, 42);
+        let one = run_with_threads(1, &config, &SynthConfig::small(), 42);
         let searched = one
             .selection
             .ilp_stats
@@ -95,7 +108,7 @@ fn ilp_flow_is_bit_identical_across_threads_at_every_wave_size() {
             .nodes_explored;
         assert!(searched > 0, "wave {wave_size}: solver must really search");
         for threads in [2, 8] {
-            let many = run_with_threads(threads, &config, 42);
+            let many = run_with_threads(threads, &config, &SynthConfig::small(), 42);
             assert_identical(
                 &one,
                 &many,
@@ -121,14 +134,14 @@ fn every_wave_size_finds_the_same_optimum() {
         ..OperonConfig::default()
     };
     base.optical.max_loss_db = 4.0;
-    let reference = run_with_threads(1, &base, 42);
+    let reference = run_with_threads(1, &base, &SynthConfig::small(), 42);
     assert!(reference.selection.proven_optimal, "solve must complete");
     for wave_size in [4, 16] {
         let config = OperonConfig {
             ilp_wave_size: wave_size,
             ..base.clone()
         };
-        let waved = run_with_threads(8, &config, 42);
+        let waved = run_with_threads(8, &config, &SynthConfig::small(), 42);
         assert!(waved.selection.proven_optimal);
         assert_eq!(
             reference.total_power_mw().to_bits(),
