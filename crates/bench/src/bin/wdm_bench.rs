@@ -1,14 +1,15 @@
 //! Measures the PR-5 transactional WDM re-solve machinery — undo-log
 //! trials against the clone-per-trial pattern they replace, and the
-//! end-to-end warm planner against the all-cold reference — and writes
-//! `BENCH_wdm.json` at the repository root.
+//! end-to-end warm planner against the all-cold reference — plus the
+//! WDM stage on the paper suite, and writes `BENCH_wdm.json` at the
+//! repository root.
 //!
 //! ```text
 //! cargo run -p operon-bench --release --bin wdm_bench
 //! cargo run -p operon-bench --release --bin wdm_bench -- --smoke
 //! ```
 //!
-//! Two measurements:
+//! Three measurements:
 //!
 //! 1. **Clone-style vs transactional deletion sweeps** on an
 //!    assignment network in the WDM-reduction shape: every
@@ -26,8 +27,15 @@
 //!    must beat the cold reference in wall time (asserted) — the
 //!    ROADMAP gap this PR closes.
 //!
-//! `--smoke` shrinks every fixture, keeps every identity assertion, and
-//! skips the timing criteria and the JSON write — the cheap CI gate.
+//! 3. **The WDM stage on the paper suite**: `wdm::plan_with` on I1–I5
+//!    at seed 2018, best of three at 1 and at 2 threads, with each
+//!    design's waveguide count and Dijkstra passes, and the plan
+//!    asserted equal to `wdm::plan_cold_reference` at both thread
+//!    counts.
+//!
+//! `--smoke` shrinks every fixture (the paper suite to I3 alone), keeps
+//! every identity assertion, and skips the timing criteria and the JSON
+//! write — the cheap CI gate.
 //!
 //! Numbers in the committed `BENCH_wdm.json` come from whatever machine
 //! last ran this binary; `hardware_threads` records the truth.
@@ -41,7 +49,7 @@ use operon_cluster::build_hyper_nets;
 use operon_exec::json::Value;
 use operon_exec::{Executor, Stopwatch};
 use operon_mcmf::{EdgeId, FlowResult, McmfGraph, McmfStats, NodeId};
-use operon_netlist::synth::{generate, SynthConfig};
+use operon_netlist::synth::{generate, paper_benchmark, SynthConfig};
 
 const ITERS: u32 = 3;
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -52,6 +60,7 @@ fn main() {
 
     let styles = bench_trial_styles(smoke);
     let plans = bench_plans(smoke);
+    let suite = bench_paper_suite(smoke);
 
     if smoke {
         println!("wdm_bench --smoke: all identity checks passed");
@@ -64,6 +73,7 @@ fn main() {
         ("hardware_threads", Value::from(hardware)),
         ("trial_styles", styles),
         ("wdm_plan", Value::Array(plans)),
+        ("paper_suite", Value::Array(suite)),
         ("identical_results", Value::from(true)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wdm.json");
@@ -264,6 +274,24 @@ fn bench_trial_styles(smoke: bool) -> Value {
 // 2. Warm vs cold WDM planning, end to end
 // ---------------------------------------------------------------------------
 
+/// Runs the flow's stages up to selection on `synth` at `seed` and
+/// returns the candidates, the LR choice and the resolved config — the
+/// input `wdm::plan` sees inside `OperonFlow::run`.
+fn selected(synth: &SynthConfig, seed: u64) -> (Vec<NetCandidates>, Vec<usize>, OperonConfig) {
+    let config = OperonConfig::default();
+    let design = generate(synth, seed);
+    let nets = build_hyper_nets(&design, &config.cluster);
+    let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
+    let candidates: Vec<NetCandidates> = nets
+        .iter()
+        .enumerate()
+        .map(|(i, n)| generate_candidates(n, i, &config))
+        .collect();
+    let crossings = CrossingIndex::build(&candidates);
+    let choice = select_lr_with(&candidates, &crossings, &config, &Executor::sequential());
+    (candidates, choice.choice, config)
+}
+
 fn bench_plans(smoke: bool) -> Vec<Value> {
     let mut fixtures = vec![("I1_small_seed42", SynthConfig::small(), 42u64, false)];
     if !smoke {
@@ -274,23 +302,13 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
     }
     let mut out = Vec::new();
     for (name, synth, seed, must_beat_cold) in fixtures {
-        let config = OperonConfig::default();
-        let design = generate(&synth, seed);
-        let nets = build_hyper_nets(&design, &config.cluster);
-        let config = config.resolved_for(nets.iter().map(|n| n.bit_count()));
-        let candidates: Vec<NetCandidates> = nets
-            .iter()
-            .enumerate()
-            .map(|(i, n)| generate_candidates(n, i, &config))
-            .collect();
-        let crossings = CrossingIndex::build(&candidates);
-        let choice = select_lr_with(&candidates, &crossings, &config, &Executor::sequential());
+        let (candidates, choice, config) = selected(&synth, seed);
 
         let mut cold_ms = f64::INFINITY;
         let mut cold_plan = None;
         for _ in 0..ITERS {
             let sw = Stopwatch::start();
-            let p = wdm::plan_cold_reference(&candidates, &choice.choice, &config.optical)
+            let p = wdm::plan_cold_reference(&candidates, &choice, &config.optical)
                 .expect("plan feasible");
             cold_ms = cold_ms.min(sw.elapsed().as_secs_f64() * 1e3);
             cold_plan = Some(p);
@@ -301,7 +319,7 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
         let mut warm_plan = None;
         for _ in 0..ITERS {
             let sw = Stopwatch::start();
-            let p = wdm::plan(&candidates, &choice.choice, &config.optical).expect("plan feasible");
+            let p = wdm::plan(&candidates, &choice, &config.optical).expect("plan feasible");
             warm_ms = warm_ms.min(sw.elapsed().as_secs_f64() * 1e3);
             warm_plan = Some(p);
         }
@@ -319,7 +337,7 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
         for threads in THREADS {
             let p = wdm::plan_with(
                 &candidates,
-                &choice.choice,
+                &choice,
                 &config.optical,
                 &Executor::new(threads),
             )
@@ -376,6 +394,68 @@ fn bench_plans(smoke: bool) -> Vec<Value> {
             ("undo_entries", Value::from(stats.mcmf.undo_entries)),
             ("rollbacks", Value::from(stats.mcmf.rollbacks)),
             ("networks_cloned", Value::from(stats.mcmf.networks_cloned)),
+        ]));
+    }
+    out
+}
+
+// ---------------------------------------------------------------------------
+// 3. The WDM stage on the paper suite, 1 vs 2 threads
+// ---------------------------------------------------------------------------
+
+/// Paper-suite designs timed in full mode; `--smoke` keeps only I3
+/// (~0.1 s of WDM), so CI gates a real design.
+const SUITE: [&str; 5] = ["I1", "I2", "I3", "I4", "I5"];
+const SUITE_SMOKE: [&str; 1] = ["I3"];
+/// The harness seed every paper-suite bench in the repository routes.
+const SUITE_SEED: u64 = 2018;
+
+/// Times `wdm::plan_with` — the WDM stage exactly as `OperonFlow::run`
+/// calls it — on I1–I5 at seed 2018, best of `ITERS`, at 1 and 2
+/// threads. The plan must equal `wdm::plan_cold_reference` at both
+/// thread counts (asserted). The 1-vs-2-thread ratio is the
+/// measurement behind keeping or deleting the reduction's batched
+/// concurrent trials.
+fn bench_paper_suite(smoke: bool) -> Vec<Value> {
+    let names: &[&str] = if smoke { &SUITE_SMOKE } else { &SUITE };
+    let mut out = Vec::new();
+    for &name in names {
+        let synth = paper_benchmark(name).expect("paper benchmark");
+        let (candidates, choice, config) = selected(&synth, SUITE_SEED);
+        let cold =
+            wdm::plan_cold_reference(&candidates, &choice, &config.optical).expect("plan feasible");
+        let mut best_ms = [f64::INFINITY; 2];
+        let mut passes = 0;
+        for (slot, threads) in [1usize, 2].into_iter().enumerate() {
+            let exec = Executor::new(threads);
+            for _ in 0..ITERS {
+                let sw = Stopwatch::start();
+                let p = wdm::plan_with(&candidates, &choice, &config.optical, &exec)
+                    .expect("plan feasible");
+                best_ms[slot] = best_ms[slot].min(sw.elapsed().as_secs_f64() * 1e3);
+                assert_eq!(
+                    p.wdms, cold.wdms,
+                    "{name}: plan_with at {threads} threads must equal plan_cold_reference"
+                );
+                assert_eq!(p.initial_count, cold.initial_count, "{name}: initial count");
+                passes = p.stats.mcmf.dijkstra_passes;
+            }
+        }
+        let [t1, t2] = best_ms;
+        println!(
+            "suite {name}: {w} waveguides, {passes} Dijkstra passes, \
+             plan_with best {t1:.1} ms at 1 thread vs {t2:.1} ms at 2 ({r:.2}x)",
+            w = cold.wdms.len(),
+            r = t1 / t2,
+        );
+        out.push(Value::object(vec![
+            ("name", Value::from(name)),
+            ("seed", Value::from(SUITE_SEED)),
+            ("waveguides", Value::from(cold.wdms.len())),
+            ("dijkstra_passes", Value::from(passes)),
+            ("threads_1_best_ms", Value::from(t1)),
+            ("threads_2_best_ms", Value::from(t2)),
+            ("threads_1_over_2", Value::from(t1 / t2)),
         ]));
     }
     out

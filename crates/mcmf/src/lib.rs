@@ -9,6 +9,20 @@
 //! "uni-modular property" the paper relies on to read the WDM assignment
 //! directly off the flow without rounding.
 //!
+//! # Early exit
+//!
+//! Each augmentation's Dijkstra stops as soon as it settles the sink,
+//! and the potentials then follow the textbook early-termination rule
+//! (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, §9.7): every node
+//! rises by `min(dist[v], dist[t])`, where a node the pass never
+//! labelled counts as `dist = ∞`. Every residual reduced cost stays
+//! non-negative — arcs out of never-reached nodes included — so the
+//! stored [`potentials`](McmfGraph::potentials) remain a feasible warm
+//! start. The augmenting path only runs through nodes settled before
+//! the sink, so it is the path an exhaustive search would return.
+//! Dijkstra's `dist`/`parent`/heap buffers live in one workspace per
+//! graph; each pass resets only the entries the previous one labelled.
+//!
 //! # Storage layout
 //!
 //! Arcs live in a flat struct-of-arrays arena: residual twins are paired
@@ -103,8 +117,10 @@ pub struct McmfStats {
     /// Bellman-Ford relaxation rounds spent initializing potentials
     /// for graphs with negative-cost residual arcs.
     pub bellman_ford_rounds: u64,
-    /// Relaxation rounds spent repairing warm-start potentials in
-    /// [`McmfGraph::min_cost_max_flow_warm`].
+    /// Relaxation rounds spent verifying or repairing warm-start
+    /// potentials in [`McmfGraph::min_cost_max_flow_warm`] and
+    /// [`McmfGraph::min_cost_reroute`]; one round when the prior
+    /// potentials are already feasible.
     pub repair_rounds: u64,
     /// Warm solves that fell back to a cold solve because the repair
     /// pass could not certify the prior potentials.
@@ -198,6 +214,49 @@ pub struct McmfGraph {
     /// overwrite inside a transaction (buffer reused across trials).
     saved_potential: Vec<i64>,
     potential_saved: bool,
+    /// Dijkstra scratch reused across passes and solves.
+    ws: DijkstraWorkspace,
+}
+
+/// Dijkstra's per-pass buffers, kept on the graph so a solve allocates
+/// them once instead of once per augmentation. Scratch, not state: the
+/// fingerprint, clones and rollbacks ignore it.
+#[derive(Debug, Default)]
+struct DijkstraWorkspace {
+    /// Reduced-cost distance of each node; `i64::MAX` for every node
+    /// outside `touched`.
+    dist: Vec<i64>,
+    /// Arc through which each labelled node was last reached.
+    parent: Vec<u32>,
+    /// Nodes labelled by the last pass — the only `dist` entries the
+    /// next pass has to reset.
+    touched: Vec<u32>,
+    heap: BinaryHeap<Reverse<(i64, u32)>>,
+}
+
+impl DijkstraWorkspace {
+    /// Clears what the last pass wrote and sizes the buffers for `n`
+    /// nodes. O(touched), plus O(n) only when `n` changed.
+    fn reset(&mut self, n: usize) {
+        for &v in &self.touched {
+            self.dist[v as usize] = i64::MAX;
+        }
+        self.touched.clear();
+        self.heap.clear();
+        self.dist.resize(n, i64::MAX);
+        self.parent.resize(n, u32::MAX);
+    }
+
+    /// Labels `v` with distance `d`, reached through `arc`.
+    #[inline]
+    fn label(&mut self, v: usize, d: i64, arc: u32) {
+        if self.dist[v] == i64::MAX {
+            self.touched.push(v as u32);
+        }
+        self.dist[v] = d;
+        self.parent[v] = arc;
+        self.heap.push(Reverse((d, v as u32)));
+    }
 }
 
 impl Clone for McmfGraph {
@@ -224,6 +283,7 @@ impl Clone for McmfGraph {
             undo_edge_caps: self.undo_edge_caps.clone(),
             saved_potential: self.saved_potential.clone(),
             potential_saved: self.potential_saved,
+            ws: DijkstraWorkspace::default(),
         }
     }
 
@@ -251,6 +311,7 @@ impl Clone for McmfGraph {
         self.undo_edge_caps.clone_from(&source.undo_edge_caps);
         self.saved_potential.clone_from(&source.saved_potential);
         self.potential_saved = source.potential_saved;
+        // `ws` is scratch: the replica keeps its own buffers.
     }
 }
 
@@ -402,6 +463,13 @@ impl McmfGraph {
     /// to certify that what-if probes left the network bitwise intact,
     /// and — because every solve is deterministic — as a compact
     /// thread-invariance witness in reports.
+    ///
+    /// Potentials are hashed, so the value depends on the solver's
+    /// potential update as well as on the routed flow: two solver
+    /// versions that route the same flow may digest it differently (the
+    /// early-exit update of the crate docs changed every value). Compare
+    /// fingerprints within one build; what they promise is the contract
+    /// above — a rolled-back transaction leaves the value unchanged.
     pub fn fingerprint(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -929,6 +997,18 @@ impl McmfGraph {
     /// reduced costs on every residual arc. Stores the final potentials
     /// for later warm starts and returns the flow *pushed by this
     /// call* (not any flow already routed).
+    ///
+    /// Each pass stops as soon as Dijkstra settles `t`, then applies the
+    /// early-termination potential update (Ahuja, Magnanti & Orlin,
+    /// *Network Flows*, §9.7): every node rises by
+    /// `min(dist[v], dist[t])`, an unlabelled node counting as
+    /// `dist = ∞`. Every residual reduced cost stays non-negative —
+    /// including arcs out of nodes the pass never reached — so the
+    /// stored potentials stay feasible for the next warm start. Only
+    /// differences of potentials matter, so the code applies the same
+    /// update shifted down by `dist[t]`: each node settled before `t`
+    /// drops by `dist[t] − dist[v]`, every other node keeps its value.
+    /// A pass thus costs O(nodes settled), not O(n).
     fn run_ssp(
         &mut self,
         s: NodeId,
@@ -936,32 +1016,33 @@ impl McmfGraph {
         max_flow: i64,
         mut potential: Vec<i64>,
     ) -> FlowResult {
-        let n = self.n_nodes;
+        let mut ws = std::mem::take(&mut self.ws);
         let mut total_flow = 0i64;
         let mut total_cost = 0i64;
         while total_flow < max_flow {
             self.stats.dijkstra_passes += 1;
-            let Some((dist, parent)) = self.dijkstra(s.0, t.0, &potential) else {
+            if !self.dijkstra(&mut ws, s.0, t.0, &potential) {
                 break; // sink unreachable in residual graph
-            };
-            // Update potentials for reachable nodes.
-            for v in 0..n {
-                if dist[v] < i64::MAX {
-                    potential[v] += dist[v];
+            }
+            let dt = ws.dist[t.0];
+            for &v in &ws.touched {
+                let d = ws.dist[v as usize];
+                if d < dt {
+                    potential[v as usize] -= dt - d;
                 }
             }
             // Bottleneck along the path.
             let mut push = max_flow - total_flow;
             let mut v = t.0;
             while v != s.0 {
-                let arc = parent[v];
+                let arc = ws.parent[v] as usize;
                 push = push.min(self.arc_cap[arc]);
                 v = self.arc_tail(arc);
             }
             // Apply.
             let mut v = t.0;
             while v != s.0 {
-                let arc = parent[v];
+                let arc = ws.parent[v] as usize;
                 self.write_cap(arc, self.arc_cap[arc] - push);
                 self.write_cap(arc ^ 1, self.arc_cap[arc ^ 1] + push);
                 total_cost += push * self.arc_cost[arc];
@@ -969,6 +1050,7 @@ impl McmfGraph {
             }
             total_flow += push;
         }
+        self.ws = ws;
         self.store_potentials(potential);
         FlowResult {
             flow: total_flow,
@@ -977,13 +1059,19 @@ impl McmfGraph {
     }
 
     /// Bellman-Ford from `s` to initialize potentials when negative edge
-    /// costs exist. Unreachable nodes keep potential 0 (they can never be
-    /// on an augmenting path from `s` anyway). Returns the potentials and
-    /// the number of relaxation rounds executed.
+    /// costs exist. Nodes `s` cannot reach then rise from 0 until no
+    /// residual arc leaving them has a negative reduced cost (no arc
+    /// with spare capacity enters them from a reached node, so their
+    /// values leave the reached part untouched). They never lie on an
+    /// augmenting path of this solve, but the stored potentials must be
+    /// feasible everywhere for later warm starts. Returns the
+    /// potentials and the number of relaxation rounds executed.
     ///
     /// # Panics
     ///
-    /// Panics on a negative cycle reachable from `s`.
+    /// Panics on a negative cycle reachable from `s`. A negative cycle
+    /// among the unreached nodes leaves their potentials infeasible on
+    /// that cycle.
     fn bellman_ford_potentials(&self, s: usize) -> (Vec<i64>, u64) {
         let n = self.n_nodes;
         let mut dist = vec![i64::MAX; n];
@@ -1013,50 +1101,66 @@ impl McmfGraph {
                 "negative-cost cycle detected; min-cost flow is unbounded"
             );
         }
-        let potentials = dist
+        let mut potentials: Vec<i64> = dist
             .iter()
             .map(|&d| if d == i64::MAX { 0 } else { d })
             .collect();
+        for _ in 0..n {
+            let mut changed = false;
+            for u in (0..n).filter(|&u| dist[u] == i64::MAX) {
+                for &ai in self.out_arcs(u) {
+                    let ai = ai as usize;
+                    let need = potentials[self.arc_to[ai] as usize] - self.arc_cost[ai];
+                    if self.arc_cap[ai] > 0 && potentials[u] < need {
+                        potentials[u] = need;
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+            rounds += 1;
+        }
         (potentials, rounds)
     }
 
-    /// Dijkstra on reduced costs. Returns `(dist, parent_arc)` or `None`
-    /// when `t` is unreachable.
-    fn dijkstra(&self, s: usize, t: usize, potential: &[i64]) -> Option<(Vec<i64>, Vec<usize>)> {
-        let n = self.n_nodes;
-        let mut dist = vec![i64::MAX; n];
-        let mut parent = vec![usize::MAX; n];
-        let mut heap = BinaryHeap::new();
-        dist[s] = 0;
-        heap.push(Reverse((0i64, s)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
+    /// Dijkstra on reduced costs from `s`, stopping when `t` is settled
+    /// (popped from the heap). Returns whether `t` was reached; `ws`
+    /// then holds the labels of this pass: exact distances for the
+    /// nodes settled before `t` and for `t` itself, and tentative
+    /// labels no smaller than `dist[t]` for the rest of `touched`. The
+    /// path to `t` runs through settled nodes only, so it is the one an
+    /// exhaustive search would return.
+    fn dijkstra(&self, ws: &mut DijkstraWorkspace, s: usize, t: usize, potential: &[i64]) -> bool {
+        ws.reset(self.n_nodes);
+        ws.label(s, 0, u32::MAX);
+        while let Some(Reverse((d, u))) = ws.heap.pop() {
+            let u = u as usize;
+            if d > ws.dist[u] {
                 continue;
             }
+            if u == t {
+                return true;
+            }
             for &ai in self.out_arcs(u) {
-                let ai = ai as usize;
-                if self.arc_cap[ai] <= 0 {
+                let a = ai as usize;
+                if self.arc_cap[a] <= 0 {
                     continue;
                 }
-                let to = self.arc_to[ai] as usize;
-                let reduced = self.arc_cost[ai] + potential[u] - potential[to];
+                let to = self.arc_to[a] as usize;
+                let reduced = self.arc_cost[a] + potential[u] - potential[to];
                 debug_assert!(
                     reduced >= 0,
                     "reduced cost must be non-negative (got {reduced})"
                 );
                 let nd = d + reduced;
-                if nd < dist[to] {
-                    dist[to] = nd;
-                    parent[to] = ai;
-                    heap.push(Reverse((nd, to)));
+                if nd < ws.dist[to] {
+                    ws.label(to, nd, ai);
                 }
             }
         }
-        if dist[t] == i64::MAX {
-            None
-        } else {
-            Some((dist, parent))
-        }
+        false
     }
 }
 
@@ -1325,6 +1429,66 @@ mod tests {
         assert_eq!(g.flow(e), 0);
         let r3 = g.min_cost_max_flow(s, t);
         assert_eq!(r3, FlowResult { flow: 2, cost: 2 });
+    }
+
+    /// The first residual arc with spare capacity whose reduced cost
+    /// under the stored potentials is negative, as
+    /// `(tail, head, reduced cost)`; `None` when the potentials are
+    /// feasible on the whole network — the condition every warm start
+    /// relies on.
+    fn infeasible_arc(g: &McmfGraph) -> Option<(usize, usize, i64)> {
+        let p = g.potentials();
+        assert_eq!(p.len(), g.node_count(), "potentials are stored per node");
+        (0..g.arc_cap.len()).find_map(|a| {
+            let (u, v) = (g.arc_tail(a), g.arc_to[a] as usize);
+            let reduced = g.arc_cost[a] + p[u] - p[v];
+            (g.arc_cap[a] > 0 && reduced < 0).then_some((u, v, reduced))
+        })
+    }
+
+    #[test]
+    fn early_exit_keeps_unreached_side_feasible_for_reroute() {
+        // Two units leave s through m. m -> t is cheap; m -> a -> b ->
+        // c -> t is an expensive side branch, and d feeds it from a node
+        // s never reaches. The augmentation settles t before any node of
+        // the side branch, so a keeps a tentative label and b, c and d
+        // none. The stored potentials must still price every residual
+        // arc non-negative — d -> t included — so the reroute that
+        // follows verifies them in exactly one repair round.
+        let mut g = McmfGraph::new(7);
+        let [s, t, m, a, b, c, d] = [0, 1, 2, 3, 4, 5, 6].map(|i| g.node(i));
+        g.add_edge(s, m, 2, 0);
+        let direct = g.add_edge(m, t, 2, 1);
+        g.add_edge(m, a, 2, 40);
+        g.add_edge(a, b, 2, 40);
+        g.add_edge(b, c, 2, 40);
+        g.add_edge(c, t, 2, 40);
+        g.add_edge(d, b, 2, 0);
+        g.add_edge(d, t, 2, 0);
+        let full = g.min_cost_max_flow(s, t);
+        assert_eq!(full, FlowResult { flow: 2, cost: 2 });
+        assert_eq!(infeasible_arc(&g), None);
+
+        // Delete the direct edge and push its two units around the side
+        // branch, the way the WDM trials delete a waveguide's sink edge.
+        let prior = g.potentials().to_vec();
+        g.reset_stats();
+        let mut txn = g.checkout();
+        let displaced = txn.flow(direct);
+        assert_eq!(displaced, 2);
+        txn.withdraw_edge_flow(direct, displaced);
+        txn.set_edge_capacity(direct, 0);
+        let r = txn.min_cost_reroute(m, t, displaced, &prior);
+        assert_eq!(r, FlowResult { flow: 2, cost: 320 });
+        assert_eq!(infeasible_arc(&txn), None);
+        assert_eq!(
+            txn.stats().repair_rounds,
+            1,
+            "prior must verify in one round"
+        );
+        txn.rollback();
+        assert_eq!(infeasible_arc(&g), None);
+        assert_eq!(g.potentials(), &prior[..]);
     }
 
     /// Everything rollback promises to restore, cloned out for a
@@ -1827,6 +1991,95 @@ mod tests {
             prop_assert_eq!(net[n - 1], -r.flow);
             for &imbalance in &net[1..n - 1] {
                 prop_assert_eq!(imbalance, 0);
+            }
+        }
+
+        /// Stored potentials price every residual arc non-negative
+        /// after every cold, bounded, warm and reroute solve and after
+        /// every rollback — the invariant that the early-exit potential
+        /// update keeps and that every warm start relies on.
+        #[test]
+        fn stored_potentials_stay_feasible(
+            n in 2usize..8,
+            raw_edges in proptest::collection::vec(
+                (0usize..8, 0usize..8, 0i64..10, -5i64..20), 1..20),
+            ops in proptest::collection::vec(
+                (0u8..4, 0usize..20, 0i64..10, any::<bool>()), 1..10),
+        ) {
+            let edges: Vec<_> = raw_edges
+                .into_iter()
+                .map(|(u, v, cap, cost)| (u % n, v % n, cap, cost))
+                .filter(|&(u, v, _, _)| u != v)
+                .collect();
+            if edges.is_empty() {
+                return Ok(());
+            }
+            let mut g = McmfGraph::new(n);
+            let handles: Vec<_> = edges
+                .iter()
+                .map(|&(u, v, cap, cost)| g.add_edge(g.node(u), g.node(v), cap, cost))
+                .collect();
+            // Negative cycles make min-cost flow undefined; skip them.
+            let cycle_free = |g: &McmfGraph| g.clone().repair_potentials(&mut vec![0i64; n]);
+            if !cycle_free(&g) {
+                return Ok(());
+            }
+            let (s, t) = (g.node(0), g.node(1));
+            g.min_cost_flow_bounded(s, t, 3);
+            prop_assert_eq!(infeasible_arc(&g), None, "after a bounded solve");
+            // A cold solve on top of routed flow: Bellman-Ford init.
+            g.min_cost_max_flow(s, t);
+            prop_assert_eq!(infeasible_arc(&g), None, "after a cold solve");
+
+            for &(op, which, amount, keep) in &ops {
+                let e = which % handles.len();
+                let prior = g.potentials().to_vec();
+                let committed = fingerprint(&g);
+                let mut txn = g.checkout();
+                let what = match op {
+                    0 => {
+                        // Delete edge `e` and re-route its flow, the WDM
+                        // trial pattern: pure arc removals.
+                        let f = txn.flow(handles[e]);
+                        if f > 0 {
+                            txn.withdraw_edge_flow(handles[e], f);
+                        }
+                        txn.set_edge_capacity(handles[e], 0);
+                        let (u, v) = (txn.node(edges[e].0), txn.node(edges[e].1));
+                        txn.min_cost_reroute(u, v, f, &prior);
+                        "reroute"
+                    }
+                    1 => {
+                        txn.set_edge_capacity(handles[e], amount);
+                        txn.min_cost_max_flow_warm(s, t, &prior);
+                        "warm"
+                    }
+                    2 => {
+                        txn.set_edge_capacity(handles[e], amount);
+                        if !cycle_free(&txn) {
+                            continue; // drops the guard: rolls back
+                        }
+                        txn.reset_flow_keep_potentials();
+                        txn.min_cost_flow_bounded(s, t, amount);
+                        "bounded"
+                    }
+                    _ => {
+                        txn.set_edge_capacity(handles[e], amount);
+                        if !cycle_free(&txn) {
+                            continue;
+                        }
+                        txn.min_cost_max_flow(s, t);
+                        "cold"
+                    }
+                };
+                prop_assert_eq!(infeasible_arc(&txn), None, "after a {} solve", what);
+                if keep {
+                    txn.commit();
+                } else {
+                    txn.rollback();
+                    prop_assert_eq!(fingerprint(&g), committed);
+                    prop_assert_eq!(infeasible_arc(&g), None, "after a rollback");
+                }
             }
         }
 
