@@ -302,7 +302,13 @@ fn route_one(
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let mut design = operon_netlist::io::read_design(&text).map_err(|e| format!("{path}: {e}"))?;
     if let Some((n, d)) = opts.scale {
-        design = design.rescaled(n, d);
+        design = design.try_rescaled(n, d).ok_or_else(|| {
+            format!(
+                "{path}: --scale {n}/{d} leaves a degenerate die or a coordinate \
+                 beyond ±{}",
+                operon_geom::MAX_COORD
+            )
+        })?;
     }
 
     let config = opts.config.clone();

@@ -11,17 +11,20 @@
 //!
 //! # One builder plus an oracle
 //!
-//! * **Sweep** — the production discovery: the Bentley–Ottmann sweep
-//!   line ([`operon_geom::sweep_crossings`]), output-sensitive
-//!   `O((n + k) log n)`, which reports each crossing segment pair exactly
-//!   once. Candidate sets with a coordinate beyond
-//!   [`SWEEP_COORD_LIMIT`] (the bound of the sweep's exact arithmetic)
-//!   fall back to testing every segment pair. [`CrossingIndex::build_with`]
-//!   and [`CrossingIndex::rebuild_delta`] both discover through this one
-//!   function (`discover_hits`), then funnel the packed hits through the
-//!   same global sort + assembly (see `Hit`), so the index is a pure
-//!   function of the candidate set, independent of iteration order and
-//!   thread count.
+//! * **Sort-and-sweep** — the production discovery (`discover_hits`):
+//!   every optical segment's bounding box, sorted once by left edge. Each
+//!   segment scans forward until the next box starts past its right edge,
+//!   drops same-net pairs and pairs with disjoint y-intervals, and runs
+//!   the exact [`Segment::crosses`] on the rest — the classic
+//!   sweep-and-prune broadphase. Its cost is `O(n log n + n·k_x)` for
+//!   `n` segments with `k_x` x-overlapping successors each: die-spanning
+//!   horizontal buses push it toward all segment pairs, never past them.
+//!   Each segment pair is tested at most once, so each crossing is
+//!   reported exactly once. [`CrossingIndex::build_with`] and
+//!   [`CrossingIndex::rebuild_delta`] both discover through it, then
+//!   funnel the packed hits through the same global sort + assembly (see
+//!   `Hit`), so the index is a pure function of the candidate set,
+//!   independent of iteration order and thread count.
 //! * **Brute force** ([`CrossingIndex::build_reference`]) — all candidate
 //!   pairs behind net- and candidate-level bounding-box prefilters (the
 //!   paper's "non-overlapped bounding boxes" variable reduction), with
@@ -52,14 +55,14 @@
 //! without a sort. The full build assembles records straight off its
 //! sorted hit runs and drops the hits before the CSR goes up;
 //! [`CrossingIndex::rebuild_delta`] merges retained records with the
-//! re-swept runs; the brute-force oracle sorts its own pair list. Record
+//! rediscovered runs; the brute-force oracle sorts its own pair list. Record
 //! handles are stable `u32` indexes into the key order, so handles stay
 //! valid across ECOs exactly when the rows they name are unchanged.
 //! [`CrossingIndex::heap_bytes`] reports the arenas' exact size.
 
 use crate::codesign::NetCandidates;
 use operon_exec::Executor;
-use operon_geom::{sweep_crossings, BoundingBox, Segment, SWEEP_COORD_LIMIT};
+use operon_geom::{BoundingBox, Segment};
 use std::ops::Range;
 
 /// One `(path index, crossings on that path)` entry of a record side.
@@ -144,8 +147,7 @@ impl Neighbor {
 pub enum ChosenBuild {
     /// All-pairs reference scan.
     BruteForce,
-    /// Bentley–Ottmann sweep line (all-pairs segment tests beyond
-    /// [`SWEEP_COORD_LIMIT`]).
+    /// The production sort-and-sweep discovery (see the module docs).
     #[default]
     Sweep,
     /// Incremental [`CrossingIndex::rebuild_delta`] patch.
@@ -170,7 +172,7 @@ pub struct BuildInfo {
     /// The builder that ran.
     pub strategy: ChosenBuild,
     /// Whether pair tests were spread over the executor's workers: only
-    /// the brute-force oracle does; full sweep builds and delta patches
+    /// the brute-force oracle does; full builds and delta patches
     /// discover inline.
     pub parallel: bool,
 }
@@ -225,10 +227,10 @@ impl CrossingIndex {
     }
 
     /// [`build`](Self::build) as the flow stages call it: one global
-    /// sweep over every candidate segment (see the module docs), then the
-    /// shared assembly. The sweep is sequential, so the output is the
-    /// same for every executor; the flow's parallelism lives around this
-    /// stage.
+    /// sort-and-sweep over every candidate segment (see the module docs),
+    /// then the shared assembly. Discovery is sequential, so the output is
+    /// the same for every executor; the flow's parallelism lives around
+    /// this stage.
     pub fn build_with(nets: &[NetCandidates], _exec: &Executor) -> Self {
         let mut hits = discover_hits(nets, None);
         sort_hits(&mut hits);
@@ -251,8 +253,8 @@ impl CrossingIndex {
 
     /// The all-pairs build: scans every net pair with a bounding-box
     /// prefilter, then every candidate pair with overlapping optical
-    /// boxes. Retained as the equivalence oracle — the sweep build and
-    /// delta patches must produce a byte-identical index.
+    /// boxes. Retained as the equivalence oracle — the production build
+    /// and delta patches must produce a byte-identical index.
     pub fn build_reference(nets: &[NetCandidates]) -> Self {
         Self::build_reference_with(nets, &Executor::sequential())
     }
@@ -323,14 +325,12 @@ impl CrossingIndex {
     /// Equivalent to a full [`build`](Self::build) of the new candidate
     /// set, at the cost of the changed rows only.
     ///
-    /// Implementation: retained records are copied across; the dirty
-    /// neighborhood — changed nets plus every net whose bounding box
-    /// overlaps a changed net's — is re-swept locally, which patches
-    /// exactly the event ranges the change invalidated instead of
-    /// replaying the whole event queue. Pairs between two unchanged
-    /// nets found by the local sweep are discarded (their retained
-    /// records are already exact), so retained records and re-swept runs
-    /// are key-disjoint and merge in order without a re-sort.
+    /// Implementation: retained records are copied across; discovery
+    /// runs over the dirty neighborhood only — changed nets plus every
+    /// net whose bounding box overlaps a changed net's. Pairs between two
+    /// unchanged nets found there are discarded (their retained records
+    /// are already exact), so retained records and rediscovered runs are
+    /// key-disjoint and merge in order without a re-sort.
     pub fn rebuild_delta(&self, nets: &[NetCandidates], changed: &[usize]) -> Self {
         let mut is_changed = vec![false; nets.len()];
         for &i in changed {
@@ -340,8 +340,8 @@ impl CrossingIndex {
         }
 
         // Dirty neighborhood: changed nets and bbox-overlapping others.
-        // A pair crossing a changed net must overlap its bbox, so the
-        // local sweep sees every pair that needs recounting.
+        // A pair crossing a changed net must overlap its bbox, so local
+        // discovery sees every pair that needs recounting.
         let net_bbox = net_bboxes(nets);
         let changed_boxes: Vec<BoundingBox> = (0..nets.len())
             .filter(|&i| is_changed[i])
@@ -758,26 +758,41 @@ fn collect_segments(nets: &[NetCandidates], involved: Option<&[bool]>) -> Vec<Se
     segs
 }
 
-fn in_sweep_range(p: operon_geom::Point) -> bool {
-    p.x.abs() < SWEEP_COORD_LIMIT && p.y.abs() < SWEEP_COORD_LIMIT
-}
-
-/// The one production crossing discovery: packed hits between distinct
-/// nets among those flagged in `involved` (every net when `None`). Runs
-/// the Bentley–Ottmann sweep, or tests every segment pair once when a
-/// coordinate lies beyond the sweep's exactness bound. Either way each
-/// crossing segment pair is reported exactly once, so the output is
-/// unique but unsorted; callers filter, then [`sort_hits`].
+/// The one production crossing discovery, the sort-and-sweep of the
+/// module docs: packed hits between distinct nets among those flagged in
+/// `involved` (every net when `None`). Each segment pair is tested at
+/// most once, so the output is unique but unsorted; callers filter, then
+/// [`sort_hits`].
 fn discover_hits(nets: &[NetCandidates], involved: Option<&[bool]>) -> Vec<Hit> {
     let segs = collect_segments(nets, involved);
-    if segs
+    // (x_lo, x_hi, y_lo, y_hi, net, index into `segs`), by left edge.
+    let mut boxes: Vec<(i64, i64, i64, i64, u32, u32)> = segs
         .iter()
-        .all(|sr| in_sweep_range(sr.s.a) && in_sweep_range(sr.s.b))
-    {
-        sweep_hits(&segs)
-    } else {
-        brute_hits(&segs)
+        .enumerate()
+        .map(|(i, sr)| {
+            let bb = sr.s.bounding_box();
+            (bb.lo().x, bb.hi().x, bb.lo().y, bb.hi().y, sr.net, i as u32)
+        })
+        .collect();
+    boxes.sort_unstable();
+    let mut hits: Vec<Hit> = Vec::new();
+    for (i, &(_, x_hi, y_lo, y_hi, net, ia)) in boxes.iter().enumerate() {
+        let a = &segs[ia as usize];
+        for &(x_lo_b, _, y_lo_b, y_hi_b, net_b, ib) in &boxes[i + 1..] {
+            if x_lo_b > x_hi {
+                break;
+            }
+            if net_b == net || y_lo_b > y_hi || y_hi_b < y_lo {
+                continue;
+            }
+            let b = &segs[ib as usize];
+            if a.s.crosses(&b.s) {
+                let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
+                hits.push(pack_hit(p, q));
+            }
+        }
     }
+    hits
 }
 
 /// Sorts discovered hits into [`PairKey`] order. Discovery never reports
@@ -788,40 +803,6 @@ fn sort_hits(hits: &mut [Hit]) {
         hits.windows(2).all(|w| w[0] != w[1]),
         "crossing discovery reported a segment pair twice"
     );
-}
-
-/// Runs the sweep over the flattened segments and maps segment-id pairs
-/// back to packed hits (same-net pairs drop).
-fn sweep_hits(segs: &[SegRef]) -> Vec<Hit> {
-    let shapes: Vec<Segment> = segs.iter().map(|sr| sr.s).collect();
-    let crossing_ids = sweep_crossings(&shapes);
-    let mut hits: Vec<Hit> = Vec::with_capacity(crossing_ids.len());
-    for (ia, ib) in crossing_ids {
-        let a = &segs[ia as usize];
-        let b = &segs[ib as usize];
-        if a.net == b.net {
-            continue;
-        }
-        let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-        hits.push(pack_hit(p, q));
-    }
-    hits
-}
-
-/// All-pairs packed hits over the flattened segments (the fallback for
-/// coordinates beyond the sweep's exactness bound).
-fn brute_hits(segs: &[SegRef]) -> Vec<Hit> {
-    let mut hits: Vec<Hit> = Vec::new();
-    for (x, a) in segs.iter().enumerate() {
-        for b in &segs[x + 1..] {
-            if a.net == b.net || !a.s.crosses(&b.s) {
-                continue;
-            }
-            let (p, q) = if a.net < b.net { (a, b) } else { (b, a) };
-            hits.push(pack_hit(p, q));
-        }
-    }
-    hits
 }
 
 /// Union bbox of each net's optical candidates: the brute-force oracle's
@@ -921,7 +902,7 @@ fn attribute(paths: &[crate::codesign::PathLoss], seg: &[u32], arena: &mut Vec<P
 mod tests {
     use super::*;
     use crate::codesign::{analyze_assignment, EdgeMedium, NetCandidates};
-    use operon_geom::Point;
+    use operon_geom::{Point, MAX_COORD};
     use operon_optics::{ElectricalParams, OpticalLib};
     use operon_steiner::{NodeKind, RouteTree};
     use proptest::prelude::*;
@@ -1222,12 +1203,13 @@ mod tests {
     }
 
     #[test]
-    fn every_build_path_matches_reference_beyond_the_sweep_coord_limit() {
-        // Translated past the sweep's exact-arithmetic bound, the full
-        // build and a delta patch must both take the all-pairs fallback
-        // instead of tripping the sweep's range assert, and still match
-        // the brute-force reference exactly.
-        let mut nets = dispersed_nets_at(SWEEP_COORD_LIMIT);
+    fn every_build_path_matches_reference_at_max_coord() {
+        // Discovery keeps no arithmetic of its own: `Segment::crosses`
+        // stays exact at the input bound, so a fixture translated there
+        // must match the reference through a full build at every thread
+        // count and through a delta patch.
+        let o = MAX_COORD;
+        let mut nets = dispersed_nets_at(o);
         let reference = CrossingIndex::build_reference(&nets);
         assert!(!reference.is_empty());
         for threads in [1, 2, 8] {
@@ -1236,7 +1218,6 @@ mod tests {
         }
 
         // Re-route one stub across all three trunks and drop another.
-        let o = SWEEP_COORD_LIMIT;
         let before = CrossingIndex::build(&nets);
         nets[4] = optical_net(4, Point::new(o + 500, o - 10), Point::new(o + 520, o + 20));
         nets[9] = optical_net(9, Point::new(o + 5000, o), Point::new(o + 5010, o + 9));
@@ -1247,18 +1228,76 @@ mod tests {
     }
 
     #[test]
-    fn sweep_stays_selected_and_exact_just_below_the_coord_limit() {
-        // Every coordinate within the bound (if only just): the build
-        // stays on the sweep, whose rationals must stay exact at these
-        // magnitudes.
-        let nets = dispersed_nets_at(SWEEP_COORD_LIMIT - 2_000);
-        let idx = CrossingIndex::build(&nets);
-        assert_eq!(idx.build_info().strategy, ChosenBuild::Sweep);
-        assert_index_eq(
-            &idx,
-            &CrossingIndex::build_reference(&nets),
-            "sweep just below 2^40",
-        );
+    fn degenerate_configurations_match_reference() {
+        // Each segment is its own one-candidate net, so the expected
+        // count is the number of properly crossing segment pairs.
+        type Seg = (i64, i64, i64, i64);
+        let lattice: Vec<Seg> = (0..8).flat_map(|i| [(0, i, 7, i), (i, 0, i, 7)]).collect();
+        let cases: Vec<(&str, Vec<Seg>, usize)> = vec![
+            ("empty", vec![], 0),
+            ("single segment", vec![(0, 0, 3, 3)], 0),
+            ("x crossing", vec![(0, 0, 10, 10), (0, 10, 10, 0)], 1),
+            (
+                "shared endpoint and t-junction",
+                vec![(0, 0, 5, 5), (5, 5, 9, 0), (2, 2, 2, -3)],
+                0,
+            ),
+            (
+                "collinear overlaps",
+                vec![(0, 0, 10, 0), (5, 0, 15, 0), (-2, 0, 3, 0)],
+                0,
+            ),
+            (
+                "transversal through a collinear overlap",
+                vec![(0, 0, 8, 8), (2, 2, 12, 12), (0, 8, 8, 0)],
+                2,
+            ),
+            (
+                "vertical crossings",
+                vec![
+                    (5, -10, 5, 10),
+                    (0, 0, 10, 1),
+                    (0, 5, 5, 5),
+                    (5, 10, 9, 12),
+                    (4, -20, 4, -15),
+                ],
+                1,
+            ),
+            ("vertical overlap", vec![(3, 0, 3, 10), (3, 5, 3, 15)], 0),
+            (
+                "star through one point",
+                vec![
+                    (-5, -5, 5, 5),
+                    (-5, 5, 5, -5),
+                    (-5, 0, 5, 0),
+                    (-5, 1, 5, -1),
+                ],
+                6,
+            ),
+            (
+                "crossing at a rational point",
+                vec![(0, 0, 5, 5), (0, 5, 5, -5), (1, 0, 1, 3)],
+                2,
+            ),
+            ("8x8 axis lattice", lattice, 36),
+            (
+                "degenerate segment",
+                vec![(2, 2, 2, 2), (0, 0, 4, 4), (0, 4, 4, 0)],
+                1,
+            ),
+        ];
+        for (name, segs, expected) in cases {
+            let nets: Vec<NetCandidates> = segs
+                .iter()
+                .enumerate()
+                .map(|(i, &(ax, ay, bx, by))| {
+                    optical_net(i, Point::new(ax, ay), Point::new(bx, by))
+                })
+                .collect();
+            let reference = CrossingIndex::build_reference(&nets);
+            assert_eq!(reference.len(), expected, "{name}: reference pairs");
+            assert_index_eq(&CrossingIndex::build(&nets), &reference, name);
+        }
     }
 
     #[test]
@@ -1313,10 +1352,12 @@ mod tests {
     }
 
     proptest! {
-        /// Sweep-specific equivalence pin: the cramped 0..24 range packs
-        /// the segments with collinear overlaps, shared endpoints, and
-        /// verticals — the sweep's event-bundling edge cases — and the
-        /// index must still match the reference at every thread count.
+        /// Production-vs-reference equivalence pin: the cramped 0..24
+        /// range packs the chains with collinear overlaps, shared
+        /// endpoints and verticals, and the axis-heavy segments (mostly
+        /// horizontals and verticals, every fifth a diagonal, each its own
+        /// net) add T-junctions and lattice crossings on equal x-edges.
+        /// The index must match the reference at every thread count.
         #[test]
         fn sweep_build_equals_reference_on_random_candidate_sets(
             raw in proptest::collection::vec(
@@ -1326,17 +1367,31 @@ mod tests {
                 ),
                 2..8,
             ),
+            axis in proptest::collection::vec(
+                (0i64..20, 0i64..20, 0i64..20, any::<bool>()),
+                0..30,
+            ),
         ) {
-            let nets = random_nets(&raw);
+            let mut nets = random_nets(&raw);
+            for (i, &(a, b, c, horizontal)) in axis.iter().enumerate() {
+                let end = if i % 5 == 0 {
+                    Point::new(c, (a + c) % 20)
+                } else if horizontal {
+                    Point::new(c, b)
+                } else {
+                    Point::new(a, c)
+                };
+                nets.push(optical_net(nets.len(), Point::new(a, b), end));
+            }
             let reference = CrossingIndex::build_reference(&nets);
             assert_csr_matches_pairs(&reference, &nets);
             for threads in [1usize, 2, 8] {
-                let sweep = CrossingIndex::build_with(&nets, &Executor::new(threads));
-                assert_index_eq(&sweep, &reference, &format!("sweep, threads={threads}"));
+                let built = CrossingIndex::build_with(&nets, &Executor::new(threads));
+                assert_index_eq(&built, &reference, &format!("build, threads={threads}"));
             }
         }
 
-        /// `rebuild_delta` (localized sweep patch) against a full rebuild
+        /// `rebuild_delta` (local rediscovery) against a full rebuild
         /// after replacing a random subset of nets.
         #[test]
         fn rebuild_delta_equals_full_rebuild_on_random_changes(

@@ -285,30 +285,34 @@ impl WarmSession {
                 self.design.group_count()
             )));
         };
-        let shift = |p: Point| Point::new(p.x + dx, p.y + dy);
-        for bit in target.bits() {
-            for pin in bit.pins() {
-                if !die.contains(shift(pin)) {
-                    return Err(OperonError::EcoRejected(format!(
+        // Checked, so a shift that overflows is rejected like one that
+        // leaves the die.
+        let shift = |pin: Point| {
+            pin.x
+                .checked_add(dx)
+                .zip(pin.y.checked_add(dy))
+                .map(|(x, y)| Point::new(x, y))
+                .filter(|&moved| die.contains(moved))
+                .ok_or_else(|| {
+                    OperonError::EcoRejected(format!(
                         "moving group {group} by ({dx}, {dy}) pushes pin {pin} outside die {die}"
-                    )));
-                }
-            }
+                    ))
+                })
+        };
+        let mut moved = Vec::with_capacity(target.bits().len());
+        for b in target.bits() {
+            let source = shift(b.source())?;
+            let sinks = b
+                .sinks()
+                .iter()
+                .map(|&s| shift(s))
+                .collect::<Result<_, _>>()?;
+            moved.push(Bit::new(b.id(), source, sinks));
         }
         let mut next = Design::new(self.design.name(), die);
         for sig in self.design.groups() {
             if sig.id().index() == group {
-                let bits = sig
-                    .bits()
-                    .iter()
-                    .map(|b| {
-                        Bit::new(
-                            b.id(),
-                            shift(b.source()),
-                            b.sinks().iter().map(|&s| shift(s)).collect(),
-                        )
-                    })
-                    .collect();
+                let bits = std::mem::take(&mut moved);
                 next.push_group(SignalGroup::new(sig.id(), sig.name(), bits));
             } else {
                 next.push_group(sig.clone());
@@ -341,29 +345,21 @@ impl WarmSession {
             )));
         }
         let die = self.design.die();
+        // Bit `i - 1` lay inside the die, so `pitch * i` cannot overflow;
+        // the sum can, and is rejected like a pin outside the die.
+        let place = |p: Point, i: usize| {
+            let q = Point::new(p.x, p.y.checked_add(pitch * i as i64)?);
+            die.contains(q).then_some(q)
+        };
+        let mut group_bits = Vec::new();
         for i in 0..bits {
-            let off = pitch * i as i64;
-            for p in [
-                Point::new(source.x, source.y + off),
-                Point::new(sink.x, sink.y + off),
-            ] {
-                if !die.contains(p) {
-                    return Err(OperonError::EcoRejected(format!(
-                        "bus {name:?} pin {p} lies outside die {die}"
-                    )));
-                }
-            }
+            let (Some(src), Some(dst)) = (place(source, i), place(sink, i)) else {
+                return Err(OperonError::EcoRejected(format!(
+                    "bus {name:?} bit {i} (pitch {pitch}) lies outside die {die}"
+                )));
+            };
+            group_bits.push(Bit::new(BitId::new(i as u32), src, vec![dst]));
         }
-        let group_bits = (0..bits)
-            .map(|i| {
-                let off = pitch * i as i64;
-                Bit::new(
-                    BitId::new(i as u32),
-                    Point::new(source.x, source.y + off),
-                    vec![Point::new(sink.x, sink.y + off)],
-                )
-            })
-            .collect();
         let mut next = self.design.clone();
         next.push_group(SignalGroup::new(
             GroupId::new(self.design.group_count() as u32),

@@ -77,6 +77,40 @@ fn malformed_design_reports_line() {
 }
 
 #[test]
+fn huge_coordinates_and_scales_fail_cleanly() {
+    // A die at ±2^62 would wrap Manhattan lengths, and an overflowing
+    // scale factor would wrap in the rescale: each must get a message
+    // and exit 1, never a panic.
+    let huge = 1i64 << 62;
+    let path = std::env::temp_dir().join("operon_cli_huge.sig");
+    std::fs::write(
+        &path,
+        format!("design huge\ndie -{huge} -{huge} {huge} {huge}\ngroup g\nbit 0 0 : 10 10\nend\n"),
+    )
+    .expect("write");
+    let out = bin().arg(&path).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("line 2") && stderr.contains("MAX_COORD"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+
+    let path = write_design("huge_scale");
+    for factor in ["9223372036854775807", "1/1000000"] {
+        let out = bin()
+            .args([path.to_str().expect("utf8"), "--scale", factor])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{factor}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--scale"), "{factor}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{factor}: {stderr}");
+    }
+}
+
+#[test]
 fn missing_file_fails_cleanly() {
     let out = bin()
         .arg("/definitely/not/a/file.sig")

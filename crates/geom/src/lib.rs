@@ -10,13 +10,11 @@
 //! * [`Point`] — integer lattice point with Manhattan/Euclidean metrics,
 //! * [`BoundingBox`] — axis-aligned boxes with overlap tests (used by the
 //!   ILP variable-reduction speed-up of the paper),
-//! * [`Segment`] — line segments with exact intersection predicates (used
-//!   to count waveguide crossings for the crossing-loss term),
+//! * [`Segment`] — line segments with exact intersection predicates (the
+//!   crossing index's pair test for the crossing-loss term; its
+//!   sort-and-sweep discovery lives in `operon-core`),
 //! * [`Grid`] — uniform spatial binning (used for hotspot power maps),
-//! * [`sweep_crossings`] — output-sensitive Bentley–Ottmann sweep line
-//!   reporting proper segment crossings with exact rational event
-//!   ordering (the crossing index's only production discovery; an
-//!   all-pairs scan remains as its test oracle).
+//! * [`MAX_COORD`] — the coordinate bound every input design must obey.
 //!
 //! # Examples
 //!
@@ -34,13 +32,21 @@ mod bbox;
 mod grid;
 mod point;
 mod segment;
-mod sweep;
 
 pub use bbox::BoundingBox;
 pub use grid::{Grid, GridCell};
 pub use point::{FPoint, Point};
 pub use segment::{Orientation, Segment};
-pub use sweep::{sweep_crossings, SWEEP_COORD_LIMIT};
+
+/// Largest coordinate magnitude, in dbu, an input design may carry
+/// (`2^40` dbu, about 1100 km at 1 dbu = 1 µm).
+///
+/// Parsers and design transforms reject anything beyond it, so geometry
+/// downstream never overflows: coordinate differences fit 42 bits,
+/// Manhattan lengths and [`Segment`]'s orientation cross products stay
+/// exact, and sums of millions of segment lengths stay far below
+/// `i64::MAX`.
+pub const MAX_COORD: i64 = 1 << 40;
 
 /// Database units per centimeter (`1 dbu = 1 µm`).
 ///

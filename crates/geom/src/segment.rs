@@ -191,6 +191,7 @@ impl fmt::Display for Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MAX_COORD;
     use proptest::prelude::*;
 
     fn seg(ax: i64, ay: i64, bx: i64, by: i64) -> Segment {
@@ -324,12 +325,12 @@ mod tests {
     }
 
     #[test]
-    fn predicates_stay_exact_at_sweep_limit_magnitudes() {
-        // One-dbu discriminations at |coord| ~ 2^40 — the top of the
-        // sweep's supported range. The i64 fast path must defer to the
-        // i128 cross product here; an inexact predicate would collapse
-        // these parallel-by-one-dbu cases into false crossings.
-        const L: i64 = (1 << 40) - 1;
+    fn predicates_stay_exact_at_max_coord_magnitudes() {
+        // One-dbu discriminations at |coord| ~ MAX_COORD — the top of the
+        // input range. The i64 fast path must defer to the i128 cross
+        // product here; an inexact predicate would collapse these
+        // parallel-by-one-dbu cases into false crossings.
+        const L: i64 = MAX_COORD - 1;
         let diag = seg(-L, -L, L, L);
         let shifted = seg(-L, -L + 1, L, L + 1);
         assert!(!diag.intersects(&shifted), "parallel 1-dbu offset");
@@ -357,11 +358,12 @@ mod tests {
         }
     }
 
-    /// Segments confined to a small window around `(sx, sy) * (2^40 - 200)`
-    /// — large enough that every coordinate product overflows i64, small
-    /// enough that the two segments still interact.
-    fn arb_seg_near_limit() -> impl Strategy<Value = Segment> {
-        const BASE: i64 = (1 << 40) - 200;
+    /// Segments confined to a small window around
+    /// `(sx, sy) * (MAX_COORD - 200)` — large enough that every coordinate
+    /// product overflows i64, small enough that the two segments still
+    /// interact.
+    fn arb_seg_near_max_coord() -> impl Strategy<Value = Segment> {
+        const BASE: i64 = MAX_COORD - 200;
         (
             any::<bool>(),
             any::<bool>(),
@@ -396,9 +398,9 @@ mod tests {
         }
 
         #[test]
-        fn intersects_matches_oracle_near_the_sweep_limit(
-            a in arb_seg_near_limit(),
-            b in arb_seg_near_limit(),
+        fn intersects_matches_oracle_near_max_coord(
+            a in arb_seg_near_max_coord(),
+            b in arb_seg_near_max_coord(),
         ) {
             prop_assert_eq!(a.intersects(&b), intersects_oracle(&a, &b));
             prop_assert_eq!(a.crosses(&b), b.crosses(&a));

@@ -117,7 +117,7 @@ pub fn analyze_source(path: &str, source: &str, config: &Config) -> FileAnalysis
     let solver = config.solver_crates.iter().any(|c| c == &crate_name);
     // P002 also gates files of non-solver crates when they are named
     // explicitly in its `only_paths` — hot-path kernels living in
-    // infrastructure crates (e.g. `crates/geom/src/sweep.rs`) carry the
+    // infrastructure crates (a geometry kernel, say) carry the
     // same no-per-iteration-allocation contract as solver code.
     let p002_opt_in = config.path_explicitly_scoped("P002", path);
 

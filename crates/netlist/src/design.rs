@@ -1,7 +1,7 @@
 //! The top-level design container.
 
 use crate::{GroupId, SignalGroup};
-use operon_geom::{BoundingBox, Point};
+use operon_geom::{BoundingBox, Point, MAX_COORD};
 use serde::{Deserialize, Serialize};
 
 /// A routing problem instance: a die outline plus signal groups.
@@ -122,8 +122,10 @@ impl Design {
     ///
     /// # Panics
     ///
-    /// Panics if either factor is zero or negative, or if the scaled die
-    /// would be degenerate.
+    /// Panics if either factor is zero or negative, if the scaled die
+    /// would be degenerate, or if a scaled coordinate would lie beyond
+    /// ±[`MAX_COORD`]; [`try_rescaled`](Self::try_rescaled) reports these
+    /// as `None` instead.
     ///
     /// # Examples
     ///
@@ -140,25 +142,41 @@ impl Design {
             numerator > 0 && denominator > 0,
             "scale factors must be positive, got {numerator}/{denominator}"
         );
-        let scale =
-            |p: Point| Point::new(p.x * numerator / denominator, p.y * numerator / denominator);
-        let die = BoundingBox::new(scale(self.die.lo()), scale(self.die.hi()));
+        self.try_rescaled(numerator, denominator)
+            .unwrap_or_else(|| panic!("scaling by {numerator}/{denominator} leaves the bounds"))
+    }
+
+    /// [`rescaled`](Self::rescaled) for untrusted factors: `None` when a
+    /// factor is not positive, the scaled die would be degenerate, or a
+    /// scaled coordinate would lie beyond ±[`MAX_COORD`]. The products
+    /// are taken in `i128`, so no factor overflows.
+    pub fn try_rescaled(&self, numerator: i64, denominator: i64) -> Option<Design> {
+        if numerator <= 0 || denominator <= 0 {
+            return None;
+        }
+        let coord = |v: i64| {
+            let scaled = i128::from(v) * i128::from(numerator) / i128::from(denominator);
+            i64::try_from(scaled).ok().filter(|c| c.abs() <= MAX_COORD)
+        };
+        let scale = |p: Point| Some(Point::new(coord(p.x)?, coord(p.y)?));
+        let die = BoundingBox::new(scale(self.die.lo())?, scale(self.die.hi())?);
+        if die.width() <= 0 || die.height() <= 0 {
+            return None;
+        }
         let mut out = Design::new(self.name.clone(), die);
         for group in &self.groups {
-            let bits = group
-                .bits()
-                .iter()
-                .map(|bit| {
-                    crate::Bit::new(
-                        bit.id(),
-                        scale(bit.source()),
-                        bit.sinks().iter().map(|&s| scale(s)).collect(),
-                    )
-                })
-                .collect();
+            let mut bits = Vec::with_capacity(group.bits().len());
+            for bit in group.bits() {
+                let sinks = bit
+                    .sinks()
+                    .iter()
+                    .map(|&s| scale(s))
+                    .collect::<Option<_>>()?;
+                bits.push(crate::Bit::new(bit.id(), scale(bit.source())?, sinks));
+            }
             out.push_group(SignalGroup::new(group.id(), group.name(), bits));
         }
-        out
+        Some(out)
     }
 }
 
@@ -229,6 +247,25 @@ mod tests {
         let down = d.rescaled(1, 7);
         assert_eq!(down.die().hi(), Point::new(142, 142));
         assert_eq!(down.groups()[0].bits()[0].source(), Point::new(1, 1));
+    }
+
+    #[test]
+    fn try_rescaled_rejects_overflow_and_degenerate_dies() {
+        let mut d = Design::new("t", die());
+        d.push_group(group(0));
+        assert_eq!(d.try_rescaled(3, 1), Some(d.rescaled(3, 1)));
+        // The die's 1000 dbu corner lands exactly on the bound, then one
+        // step past it; i64::MAX as a factor no longer wraps.
+        assert_eq!(
+            d.try_rescaled(MAX_COORD, 1_000).map(|r| r.die().hi().x),
+            Some(MAX_COORD)
+        );
+        assert_eq!(d.try_rescaled(MAX_COORD + 1, 1_000), None);
+        assert_eq!(d.try_rescaled(i64::MAX, 1), None);
+        assert_eq!(d.try_rescaled(i64::MAX, i64::MAX), Some(d.clone()));
+        assert_eq!(d.try_rescaled(1, 2_000), None, "degenerate die");
+        assert_eq!(d.try_rescaled(0, 1), None);
+        assert_eq!(d.try_rescaled(1, -1), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 
 use crate::{Bit, BitId, Design, GroupId, SignalGroup};
 use core::fmt;
-use operon_geom::{BoundingBox, Point};
+use operon_geom::{BoundingBox, Point, MAX_COORD};
 use std::error::Error;
 
 /// Error returned by [`read_design`].
@@ -97,8 +97,9 @@ pub fn write_design(design: &Design) -> String {
 /// # Errors
 ///
 /// Returns a [`ParseDesignError`] naming the offending line on any
-/// malformed input: missing header, unclosed group, bad coordinates, pins
-/// outside the die, or empty groups.
+/// malformed input: missing header, unclosed group, bad coordinates
+/// (including any beyond ±[`MAX_COORD`]), pins outside the die, or empty
+/// groups.
 pub fn read_design(text: &str) -> Result<Design, ParseDesignError> {
     let mut name: Option<String> = None;
     let mut design: Option<Design> = None;
@@ -236,6 +237,12 @@ where
         let v = tok
             .parse::<i64>()
             .map_err(|_| ParseDesignError::new(lineno, format!("bad integer '{tok}'")))?;
+        if v.unsigned_abs() > MAX_COORD.unsigned_abs() {
+            return Err(ParseDesignError::new(
+                lineno,
+                format!("coordinate {v} beyond ±{MAX_COORD} (MAX_COORD)"),
+            ));
+        }
         out.push(v);
     }
     Ok(out)
@@ -338,6 +345,31 @@ mod tests {
     fn pin_outside_die_is_error() {
         let e = err_of("design t\ndie 0 0 100 100\ngroup a\nbit 1 2 : 300 4\nend\n");
         assert!(e.to_string().contains("outside die"));
+    }
+
+    #[test]
+    fn coordinate_beyond_max_coord_is_error() {
+        // At the bound parses; one past it, on any side of any line, is
+        // rejected before geometry could overflow.
+        let m = MAX_COORD;
+        let ok = format!("design t\ndie -{m} -{m} {m} {m}\ngroup a\nbit -{m} 0 : {m} {m}\nend\n");
+        assert_eq!(read_design(&ok).expect("at the bound").die().width(), 2 * m);
+        let huge = 1i64 << 62;
+        for (text, line) in [
+            (format!("design t\ndie -{huge} 0 {huge} 100\n"), 2),
+            (format!("design t\ndie 0 0 100 {}\n", m + 1), 2),
+            (
+                format!(
+                    "design t\ndie 0 0 100 100\ngroup a\nbit 1 2 : 3 -{}\nend\n",
+                    m + 1
+                ),
+                4,
+            ),
+        ] {
+            let e = err_of(&text);
+            assert_eq!(e.line(), line, "{text}");
+            assert!(e.to_string().contains("MAX_COORD"), "{e}");
+        }
     }
 
     #[test]

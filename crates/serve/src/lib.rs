@@ -950,6 +950,55 @@ mod tests {
     }
 
     #[test]
+    fn huge_coordinates_are_rejected_and_resident_sessions_survive() {
+        // A die at ±2^62 would panic inside the flow and take every
+        // resident session down with the daemon, and overflowing ECO
+        // shifts and bus offsets would wrap: each must be rejected.
+        let mut server = Server::new(Executor::sequential(), 1);
+        assert!(server.handle_line(&open_line("s")).contains("\"ok\":true"));
+        let huge = 1i64 << 62;
+        let design =
+            format!("design h\ndie -{huge} -{huge} {huge} {huge}\ngroup g\nbit 0 0 : 9 9\nend\n");
+        let open = Value::object(vec![
+            ("op", "open_design".into()),
+            ("session", "h".into()),
+            ("design", design.into()),
+        ])
+        .compact();
+        let int = Value::Int;
+        let move_pins = Value::object(vec![
+            ("op", "eco_move_pins".into()),
+            ("session", "s".into()),
+            ("group", int(0)),
+            ("dx", int(i64::MAX)),
+            ("dy", int(0)),
+        ])
+        .compact();
+        let add_bus = Value::object(vec![
+            ("op", "eco_add_bus".into()),
+            ("session", "s".into()),
+            ("name", "x".into()),
+            ("bits", int(3)),
+            ("source", Value::Array(vec![int(10), int(10)])),
+            ("sink", Value::Array(vec![int(500), int(10)])),
+            ("pitch", int(i64::MAX)),
+        ])
+        .compact();
+        for (line, needle) in [
+            (open, "MAX_COORD"),
+            (move_pins, "outside die"),
+            (add_bus, "outside die"),
+        ] {
+            let resp = server.handle_line(&line);
+            assert!(resp.contains("\"ok\":false"), "{resp}");
+            assert!(resp.contains(needle), "{resp}");
+        }
+        assert_eq!(server.session_count(), 1);
+        let route = server.handle_line("{\"op\":\"route\",\"session\":\"s\"}");
+        assert!(route.contains("\"ok\":true"), "{route}");
+    }
+
+    #[test]
     fn eco_responses_match_between_batched_and_single() {
         let trace = [
             open_line("a"),
